@@ -31,7 +31,9 @@ from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
 from .symbols import (KernelParams, ScalarProblem, laplace_G_hat,
                       laplace_S_hat, laplace_S_hat_den, symbol_g, symbol_h,
                       symbol_h_tilde)
-from .volterra import VolterraConfig, kernel_a, solve_volterra
+from .volterra import (VolterraConfig, kernel_a, solve_volterra,
+                       solve_volterra_batch, solve_volterra_on_grid,
+                       volterra_grid)
 
 __version__ = "0.1.0"
 
@@ -49,6 +51,6 @@ __all__ = [
     "lemma_property_suite", "log_gamma", "mode_curve", "mu1_classify",
     "mu1_closed_form", "operator_norm_curve", "prabhakar_ml",
     "reg_lower_inc_gamma", "series_S", "series_curve", "solve_volterra",
-    "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",
-    "verify_bound",
+    "solve_volterra_batch", "solve_volterra_on_grid", "symbol_g", "symbol_h",
+    "symbol_h_tilde", "theoretical_bound", "verify_bound", "volterra_grid",
 ]

@@ -36,7 +36,7 @@ from .spectral import SpectralModel, operator_norm_curve
 from .stability import classify, fit_decay_rate, lemma_property_suite, \
     theoretical_bound, verify_bound
 from .symbols import KernelParams, ScalarProblem
-from .volterra import VolterraConfig, solve_volterra
+from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -110,15 +110,6 @@ def _grid(tmax: float, points: int) -> np.ndarray:
     return np.linspace(0.0, tmax, points)
 
 
-def _volterra_on_grid(prob: ScalarProblem, grid: np.ndarray, dt: float) -> Curve:
-    """Solve with a step that lands exactly on the output grid nodes."""
-    spacing = grid[1] - grid[0]
-    per_cell = max(1, math.ceil(spacing / dt - 1e-9))
-    n_steps = per_cell * (grid.size - 1)
-    curve = solve_volterra(prob, VolterraConfig(grid[-1] / n_steps, n_steps))
-    return Curve(grid, curve.values[::per_cell], CurveMethod.VOLTERRA, prob)
-
-
 def _problem_from(args) -> ScalarProblem:
     return ScalarProblem(KernelParams(args.alpha, args.beta, args.mu), args.rho)
 
@@ -149,7 +140,7 @@ def cmd_scalar_curve(args) -> int:
         curve = series_curve(prob, grid, SeriesControl(rel_tol=args.rel_tol),
                              max_workers=workers)
     elif method is CurveMethod.VOLTERRA:
-        curve = _volterra_on_grid(prob, grid, args.dt)
+        curve = solve_volterra_on_grid(prob, grid, args.dt)
     else:
         curve = invert_S_curve(prob, grid, InversionConfig(n_nodes=args.nodes),
                                max_workers=workers)
@@ -169,15 +160,8 @@ def cmd_norm_curve(args) -> int:
               f"mu={args.mu}); pass --force to compute anyway", file=sys.stderr)
         return EXIT_HYPOTHESIS
     grid = _grid(args.tmax, args.points)
-    if args.method == CurveMethod.VOLTERRA.value:
-        spacing = grid[1] - grid[0]
-        per_cell = max(1, math.ceil(spacing / args.dt - 1e-9))
-        n_steps = per_cell * (grid.size - 1)
-        fine = np.arange(n_steps + 1) * (grid[-1] / n_steps)
-        curve = operator_norm_curve(model, params, fine, method="volterra")
-        curve = Curve(grid, curve.values[::per_cell], CurveMethod.VOLTERRA, None)
-    else:
-        curve = operator_norm_curve(model, params, grid, method=args.method)
+    curve = operator_norm_curve(model, params, grid, method=args.method,
+                                dt=args.dt)
     _write(args.out, _curve_csv(curve) if args.format == "csv"
            else _curve_json(curve))
     return EXIT_OK
@@ -232,7 +216,7 @@ def cmd_verify(args) -> int:
     series_ok = np.isfinite(series_vals)
     excluded_fraction = 1.0 - float(np.mean(series_ok))
 
-    volterra = _volterra_on_grid(prob, grid, args.dt)
+    volterra = solve_volterra_on_grid(prob, grid, args.dt)
     laplace = invert_S_curve(prob, grid, InversionConfig(), max_workers=workers)
 
     if series_ok.any():
@@ -250,19 +234,27 @@ def cmd_verify(args) -> int:
                                          seed=args.seed)
 
     # Decay behaviour on a long horizon, stability under horizon doubling.
+    # The march is causal, so the base horizon is a prefix of the doubled
+    # one and one solve serves both.
     horizon = max(20.0, args.tmax)
     long_dt = 0.005
-    base = solve_volterra(prob, VolterraConfig(long_dt, int(round(horizon / long_dt))))
+    n_base = int(round(horizon / long_dt))
+    doubled = None
+    if regime.decay_applicable:
+        doubled = solve_volterra(
+            prob, VolterraConfig(long_dt, int(round(2.0 * horizon / long_dt))))
+        base = Curve(doubled.times[:n_base + 1], doubled.values[:n_base + 1],
+                     CurveMethod.VOLTERRA, prob)
+    else:
+        base = solve_volterra(prob, VolterraConfig(long_dt, n_base))
     fit = fit_decay_rate(base, tail_fraction=0.5)
 
     theoretical_rate = None
     c_min = None
     bound_holds = None
     rate_ok = None
-    if regime.decay_applicable:
+    if doubled is not None:
         bound = theoretical_bound(prob.params, omega)
-        doubled = solve_volterra(
-            prob, VolterraConfig(long_dt, int(round(2.0 * horizon / long_dt))))
         check = verify_bound(base, bound, doubled=doubled)
         theoretical_rate = bound.rate
         c_min = check.c_min

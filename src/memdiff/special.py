@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -78,77 +80,118 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def reg_lower_inc_gamma(mu: float, x: float) -> float:
+def reg_lower_inc_gamma(mu: float, x):
     """Regularized lower incomplete gamma P(mu, x) for 0 < mu <= 1, x >= 0.
 
     Power series for x < mu + 1, Lentz continued fraction for the upper
     complement otherwise; both are the classically stable choices and give
     absolute error well below 1e-12.
+
+    ``x`` may be an array (the Volterra kernel table is one such call).  Each
+    element runs the arithmetic of a one-point call and stops at its own
+    convergence test, so an array call equals one-point calls bit for bit.
+    The front factor x^mu e^{-x} / Gamma(mu) is a per-element ``math`` call
+    because numpy's exp and log need not round like libm's.
     """
     if not (0.0 < mu <= 1.0):
         raise DomainError(f"mu must lie in (0, 1], got {mu}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    # exp(-x + mu ln x - lgamma(mu)) underflows harmlessly for huge x.
-    log_front = -x + mu * math.log(x) - math.lgamma(mu)
-    if x < mu + 1.0:
-        ap = mu
-        total = 1.0 / mu
-        delta = total
-        for _ in range(512):
-            ap += 1.0
-            delta *= x / ap
-            total += delta
-            if abs(delta) < abs(total) * 1e-16:
-                return total * math.exp(log_front)
-        raise ConvergenceError("incomplete gamma series did not converge",
-                               last_term=abs(delta))
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~(np.isfinite(xs) & (xs >= 0.0))]
+    if bad.size:
+        raise DomainError(f"x must be finite and >= 0, got {float(bad[0])}")
+    flat = xs.reshape(-1)
+    out = np.zeros(flat.size)
+    lgamma_mu = math.lgamma(mu)
+
+    def front(values: np.ndarray) -> np.ndarray:
+        # exp(-x + mu ln x - lgamma(mu)) underflows harmlessly for huge x.
+        return np.array([math.exp(-v + mu * math.log(v) - lgamma_mu)
+                         for v in values.tolist()])
+
+    low = np.flatnonzero((flat > 0.0) & (flat < mu + 1.0))
+    if low.size:
+        out[low] = _inc_gamma_series(mu, flat[low]) * front(flat[low])
+    high = np.flatnonzero(flat >= mu + 1.0)
+    if high.size:
+        out[high] = 1.0 - front(flat[high]) * _inc_gamma_fraction(mu, flat[high])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def _inc_gamma_series(mu: float, x: np.ndarray) -> np.ndarray:
+    """sum_n x^n / (mu (mu+1) ... (mu+n)) elementwise; P(mu, x) is this times
+    the front factor."""
+    total = delta = np.full(x.size, 1.0 / mu)
+    out = np.empty(x.size)
+    live = np.arange(x.size)
+    ap = mu
+    for _ in range(512):
+        ap += 1.0
+        delta = delta * (x / ap)
+        total = total + delta
+        done = np.abs(delta) < np.abs(total) * 1e-16
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, x, delta, total = live[keep], x[keep], delta[keep], total[keep]
+            if not live.size:
+                return out
+    raise ConvergenceError("incomplete gamma series did not converge",
+                           last_term=float(abs(delta[0])))
+
+
+def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
+    """Lentz continued fraction elementwise; 1 - P(mu, x) is this times the
+    front factor."""
     tiny = 1e-300
     b = x + 1.0 - mu
-    c = 1.0 / tiny
+    c = np.full(x.size, 1.0 / tiny)
     d = 1.0 / b
     h = d
+    out = np.empty(x.size)
+    live = np.arange(x.size)
     for i in range(1, 512):
         an = -i * (i - mu)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 - math.exp(log_front) * h
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if not live.size:
+                return out
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
 # Log-coefficient cache for the scaled series: key (mu, k), value a list of
 #   lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),  n = 0, 1, ...
-# grown in chunks.  Dict/list ops are atomic under the GIL; concurrent misses
-# at worst recompute a chunk.
+# grown in chunks as evaluations reach them.  A grown list replaces the old
+# one instead of extending it, so a thread reading or growing a list while
+# another grows it never sees a misplaced coefficient.
 _COEFF_CACHE: dict[tuple[float, int], list[float]] = {}
 _CHUNK = 64
 
 
 def _log_coeffs(mu: float, k: int, n_needed: int) -> list[float]:
+    """The cached coefficient list of (mu, k), holding at least index
+    ``n_needed``."""
     key = (mu, k)
-    coeffs = _COEFF_CACHE.get(key)
-    if coeffs is None:
-        coeffs = []
-        _COEFF_CACHE[key] = coeffs
-    while len(coeffs) <= n_needed:
-        start = len(coeffs)
+    coeffs = _COEFF_CACHE.get(key, [])
+    if len(coeffs) <= n_needed:
         step = mu + 1.0
-        coeffs.extend(
+        stop = (n_needed // _CHUNK + 1) * _CHUNK
+        coeffs = coeffs + [
             math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
             - math.lgamma(n * step + k + 1.0)
-            for n in range(start, start + _CHUNK)
-        )
+            for n in range(len(coeffs), stop)
+        ]
+        _COEFF_CACHE[key] = coeffs
     return coeffs
 
 
@@ -164,12 +207,14 @@ def _prabhakar_scaled(mu: float, k: int, z: float, ctl: SeriesControl
         return 1.0, 1e-16, 1
     ln_abs_z = math.log(abs(z))
     negative = z < 0.0
-    coeffs = _log_coeffs(mu, k, ctl.max_terms)
+    coeffs = _log_coeffs(mu, k, 0)
     total = 0.0
     comp = 0.0
     abs_sum = 0.0
     small_run = 0
     for n in range(ctl.max_terms):
+        if n == len(coeffs):
+            coeffs = _log_coeffs(mu, k, n)
         log_term = coeffs[n] + n * ln_abs_z
         if log_term > 700.0:
             raise ConvergenceError(

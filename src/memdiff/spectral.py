@@ -23,7 +23,7 @@ from .errors import DomainError, MemdiffError, ModeError, TruncationError
 from .resolvent import Curve, CurveMethod, series_S, series_curve
 from .special import DEFAULT_SERIES_CONTROL, SeriesControl
 from .symbols import KernelParams, ScalarProblem
-from .volterra import VolterraConfig, solve_volterra
+from .volterra import solve_volterra, solve_volterra_batch, volterra_grid
 
 __all__ = [
     "SpectralModel",
@@ -78,7 +78,7 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
                ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> Curve:
     """Resolvent curve of mode n: exactly the scalar route at rho = -lambda_n.
 
-    For the Volterra route the grid must be uniform (it becomes the
+    For the Volterra route the grid must be uniform from 0 (it becomes the
     stepping grid).  Failures carry the offending mode index.
     """
     prob = ScalarProblem(params, -model.eigenvalue(n))
@@ -87,13 +87,7 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
         if method is CurveMethod.SERIES:
             return series_curve(prob, times, ctl)
         if method is CurveMethod.VOLTERRA:
-            grid = np.asarray(times, dtype=float)
-            steps = np.diff(grid)
-            if grid.size < 2 or grid[0] != 0.0 or not np.allclose(
-                    steps, steps[0], rtol=1e-12, atol=0.0):
-                raise DomainError(
-                    "the Volterra route needs a uniform grid starting at 0")
-            return solve_volterra(prob, VolterraConfig(float(steps[0]), grid.size - 1))
+            return solve_volterra(prob, volterra_grid(times)[0])
         raise DomainError(f"unsupported mode-curve method {method!r}")
     except ModeError:
         raise
@@ -123,16 +117,36 @@ def field(model: SpectralModel, params: KernelParams, t: float, x_grid,
 def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
                         method: str | CurveMethod = CurveMethod.SERIES,
                         ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-                        boundary_tol: float = 0.1) -> Curve:
+                        boundary_tol: float = 0.1,
+                        dt: float | None = None) -> Curve:
     """Pointwise sup over modes of |S_n(t)|, exact for this diagonal family.
 
+    The Volterra route marches every mode in one batch on the stepping grid
+    of :func:`~memdiff.volterra.volterra_grid`: ``times`` itself, or, when
+    ``dt`` is given, ``times`` with each cell split into steps no longer
+    than ``dt``.  The series route ignores ``dt``.
+
     Raises :class:`TruncationError` when the sup rests on the last retained
-    mode for more than ``boundary_tol`` of the grid (the truncation is then
-    suspect and n_modes should grow).
+    mode for more than ``boundary_tol`` of the stepping grid (the truncation
+    is then suspect and n_modes should grow).
     """
-    curves = [mode_curve(model, params, n, times, method, ctl)
-              for n in range(1, model.n_modes + 1)]
-    stacked = np.vstack([np.abs(c.values) for c in curves])
+    method = CurveMethod(method)
+    per_cell = 1
+    if method is CurveMethod.VOLTERRA:
+        rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
+        try:
+            cfg, per_cell = volterra_grid(times, dt)
+            stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
+        except MemdiffError as exc:
+            # The grid and the kernel table are shared by all modes, so the
+            # first mode is the one that fails first.
+            raise ModeError(f"mode 1: {exc}", mode_index=1) from exc
+        grid = times
+    else:
+        curves = [mode_curve(model, params, n, times, method, ctl)
+                  for n in range(1, model.n_modes + 1)]
+        stacked = np.vstack([np.abs(c.values) for c in curves])
+        grid = curves[0].times
     argmax = np.argmax(stacked, axis=0)
     if model.n_modes > 1:
         boundary_frac = float(np.mean(argmax == model.n_modes - 1))
@@ -140,7 +154,6 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
             raise TruncationError(
                 f"the norm rests on the last retained mode over "
                 f"{boundary_frac:.0%} of the grid; increase n_modes")
-    grid = curves[0].times
     # The norm curve is not a single scalar problem; tag it with the first
     # mode only through the method label and leave problem unset.
-    return Curve(grid, stacked.max(axis=0), CurveMethod(method), None)
+    return Curve(grid, stacked.max(axis=0)[::per_cell], method, None)

@@ -15,6 +15,20 @@ kernel evaluated exactly at node differences and an implicit diagonal
 weight, so the per-step solve is one scalar division.  The kernel is only
 Hoelder-mu at t = 0, which limits the observed order to between 1+mu and 2;
 dt <= 0.005 is the budget used for golden comparisons.
+
+One engine serves every caller.  The kernel does not depend on rho, so its
+table a(i dt), i = 0..n, is built once per solve in one numpy pass
+(:func:`kernel_a` on the array of nodes) and shared by every rho of a batch.
+The march then advances all rows together: the history sum of every row is
+one ``np.vecdot`` per step.
+
+Batch invariance: each row of that ``vecdot`` is one BLAS ``ddot`` over
+contiguous memory, the call ``np.dot`` makes for a single row, so a row's
+values do not depend on the batch it is marched in, and
+:func:`solve_volterra` is the batch of one.  Matrix-vector products (``@``)
+and ``sum(axis=...)`` block their sums by batch size and are not used.  The
+march is causal, so the first n + 1 values of a 2n-step solve are the n-step
+solve bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +43,8 @@ from .resolvent import Curve, CurveMethod
 from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
-__all__ = ["VolterraConfig", "kernel_a", "solve_volterra"]
+__all__ = ["VolterraConfig", "kernel_a", "solve_volterra",
+           "solve_volterra_batch", "solve_volterra_on_grid", "volterra_grid"]
 
 
 @dataclass(frozen=True)
@@ -52,48 +67,103 @@ class VolterraConfig:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
 
 
-def kernel_a(params: KernelParams, t: float) -> float:
+def kernel_a(params: KernelParams, t):
     """Smoothed kernel a(t) = 1 + (1 * kappa)(t); a(0) = 1 and, for beta > 0,
-    a(t) -> 1 + alpha / beta^mu as t -> infinity."""
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
+    a(t) -> 1 + alpha / beta^mu as t -> infinity.
+
+    ``t`` may be an array of nodes, which gives the whole table in one pass
+    with every element equal to its one-point value bit for bit.  For that,
+    the beta = 0 power is a per-element Python power: numpy's need not round
+    like libm's.
+    """
+    ts = np.asarray(t, dtype=float)
+    bad = ts[~(np.isfinite(ts) & (ts >= 0.0))]
+    if bad.size:
+        raise DomainError(f"t must be finite and >= 0, got {float(bad[0])}")
     if params.beta == 0.0:
-        return 1.0 + params.alpha * t ** params.mu / math.gamma(params.mu + 1.0)
-    return 1.0 + params.alpha * params.beta ** (-params.mu) * reg_lower_inc_gamma(
-        params.mu, params.beta * t)
+        powers = np.array([v ** params.mu for v in ts.reshape(-1).tolist()])
+        a = 1.0 + params.alpha * powers.reshape(ts.shape) / math.gamma(
+            params.mu + 1.0)
+    else:
+        a = 1.0 + params.alpha * params.beta ** (-params.mu) * reg_lower_inc_gamma(
+            params.mu, params.beta * ts)
+    a = np.where(ts == 0.0, 1.0, a)
+    return float(a) if ts.ndim == 0 else a
 
 
-def _solve_grid(prob: ScalarProblem, dt: float, n: int) -> np.ndarray:
-    p = prob.params
-    rho = prob.rho
-    a = np.empty(n + 1)
-    a[0] = 1.0
-    for i in range(1, n + 1):
-        a[i] = kernel_a(p, i * dt)
-    denom = 1.0 - 0.5 * rho * dt  # a(0) = 1
-    if abs(denom) < 1e-12:
+def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
+    """Rows u_r(i dt), i = 0..n, for every rho_r of ``rhos``: shape
+    (len(rhos), n + 1)."""
+    rhos = np.asarray(rhos, dtype=float)
+    denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
+    if np.any(np.abs(denom) < 1e-12):
+        worst = float(np.min(np.abs(denom)))
         raise StepSizeError(
-            f"implicit step is degenerate (|1 - rho dt / 2| = {abs(denom):.2e}); "
+            f"implicit step is degenerate (|1 - rho dt / 2| = {worst:.2e}); "
             "shrink dt")
-    u = np.empty(n + 1)
-    u[0] = 1.0
-    a_rev = a[::-1]
+    rho_dt = rhos * dt
+    a = kernel_a(params, np.arange(n + 1) * dt)
+    # Contiguous, so each row of vecdot below is one BLAS ddot.
+    a_rev = a[::-1].copy()
+    u = np.empty((rhos.size, n + 1))
+    u[:, 0] = 1.0
     for i in range(1, n + 1):
         hist = 0.5 * a[i]  # j = 0 endpoint, u(0) = 1
         if i > 1:
-            hist += np.dot(a_rev[n - i + 1:n], u[1:i])
-        u[i] = (1.0 + rho * dt * hist) / denom
+            hist = hist + np.vecdot(a_rev[n - i + 1:n], u[:, 1:i])
+        u[:, i] = (1.0 + rho_dt * hist) / denom
     return u
 
 
 def solve_volterra(prob: ScalarProblem, cfg: VolterraConfig) -> Curve:
     """March the product-trapezoidal scheme across the uniform grid."""
-    u = _solve_grid(prob, cfg.dt, cfg.n_steps)
+    u = _solve_grid(prob.params, cfg.dt, cfg.n_steps, [prob.rho])[0]
     estimate = None
     if cfg.richardson:
-        fine = _solve_grid(prob, 0.5 * cfg.dt, 2 * cfg.n_steps)
+        fine = _solve_grid(prob.params, 0.5 * cfg.dt, 2 * cfg.n_steps,
+                           [prob.rho])[0]
         estimate = float(np.max(np.abs(fine[::2] - u)))
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     return Curve(times, u, CurveMethod.VOLTERRA, prob, error_estimate=estimate)
+
+
+def solve_volterra_batch(params: KernelParams, rhos,
+                         cfg: VolterraConfig) -> np.ndarray:
+    """Rows u_r on the grid of ``cfg`` for every rho_r of ``rhos``, shape
+    (len(rhos), n_steps + 1), from one kernel table.
+
+    Row r equals ``solve_volterra(ScalarProblem(params, rhos[r]), cfg)``
+    bit for bit; ``cfg.richardson`` is not applied.
+    """
+    return _solve_grid(params, cfg.dt, cfg.n_steps, rhos)
+
+
+def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
+    """Stepping whose nodes include every node of ``grid``.
+
+    ``grid`` must be uniform and start at 0; uniform means equal cells up to
+    the rounding of the nodes themselves.  Returns ``(cfg, per_cell)`` with
+    grid node j at step j * per_cell.  Without ``dt`` the grid is itself the
+    stepping grid; with it, each cell is split into the fewest equal steps
+    no longer than ``dt`` (to 1e-9 relative).
+    """
+    grid = np.asarray(grid, dtype=float)
+    cells = np.diff(grid)
+    if grid.size < 2 or grid[0] != 0.0 or not np.allclose(
+            cells, cells[0], rtol=1e-12,
+            atol=4.0 * np.finfo(float).eps * abs(grid[-1])):
+        raise DomainError("the Volterra route needs a uniform grid starting at 0")
+    spacing = float(cells[0])
+    per_cell = 1 if dt is None else max(1, math.ceil(spacing / dt - 1e-9))
+    n_steps = per_cell * (grid.size - 1)
+    # With one step per cell the step is the spacing itself; on a
+    # numpy.linspace grid that equals grid[-1] / n_steps bit for bit.
+    step = spacing if per_cell == 1 else float(grid[-1]) / n_steps
+    return VolterraConfig(step, n_steps), per_cell
+
+
+def solve_volterra_on_grid(prob: ScalarProblem, grid, dt: float) -> Curve:
+    """S at the nodes of a uniform ``grid`` from 0, stepping at most ``dt``."""
+    cfg, per_cell = volterra_grid(grid, dt)
+    curve = solve_volterra(prob, cfg)
+    return Curve(grid, curve.values[::per_cell], CurveMethod.VOLTERRA, prob)

@@ -6,6 +6,7 @@ import pytest
 
 from memdiff import (ConvergenceError, DomainError, MLParams, SeriesControl,
                      log_gamma, prabhakar_ml, reg_lower_inc_gamma)
+from memdiff import special
 
 
 class TestLogGamma:
@@ -152,3 +153,51 @@ class TestPrabhakarML:
             SeriesControl(max_terms=8)
         with pytest.raises(DomainError):
             SeriesControl(consecutive_small=1)
+
+
+class TestRegLowerIncGammaArray:
+    @pytest.mark.parametrize("mu", [0.05, 1.0])
+    def test_array_equals_one_point_calls(self, mu):
+        # 8000 points on both sides of the series / continued-fraction switch
+        # at x = mu + 1, including the switch itself and its lower neighbour
+        xs = np.concatenate([np.linspace(0.0, 4.0 * (mu + 1.0), 7998),
+                             [np.nextafter(mu + 1.0, 0.0), mu + 1.0]])
+        table = reg_lower_inc_gamma(mu, xs)
+        assert table.shape == (8000,)
+        for i in list(range(0, 8000, 16)) + [7998, 7999]:
+            assert table[i] == reg_lower_inc_gamma(mu, float(xs[i])), xs[i]
+
+    def test_shape_and_scalar_type_follow_the_argument(self):
+        assert isinstance(reg_lower_inc_gamma(0.5, 1.0), float)
+        got = reg_lower_inc_gamma(0.5, np.array([[0.0, 1.0], [2.0, 50.0]]))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0
+
+    def test_array_domain(self):
+        with pytest.raises(DomainError):
+            reg_lower_inc_gamma(0.5, np.array([1.0, math.nan]))
+        with pytest.raises(DomainError):
+            reg_lower_inc_gamma(0.5, np.array([1.0, -1e-300]))
+
+
+class TestCoefficientCache:
+    def test_small_argument_fills_one_chunk(self):
+        mu, k = 0.4375, 3
+        special._COEFF_CACHE.pop((mu, k), None)
+        prabhakar_ml(MLParams(mu, k), 0.5)
+        _, _, n_terms = special._prabhakar_full(MLParams(mu, k), 0.5,
+                                                special.DEFAULT_SERIES_CONTROL)
+        assert len(special._COEFF_CACHE[(mu, k)]) <= n_terms + special._CHUNK
+
+    def test_grown_cache_holds_the_series_coefficients(self):
+        # z = 100 at mu = 0.3 needs more terms than one chunk, so the list
+        # grows in the middle of the evaluation
+        mu, k = 0.3, 0
+        special._COEFF_CACHE.pop((mu, k), None)
+        for z in (0.5, 100.0):
+            prabhakar_ml(MLParams(mu, k), z)
+        coeffs = special._COEFF_CACHE[(mu, k)]
+        assert len(coeffs) > special._CHUNK
+        assert coeffs == [math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
+                          - math.lgamma(n * (mu + 1.0) + k + 1.0)
+                          for n in range(len(coeffs))]

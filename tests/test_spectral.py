@@ -183,3 +183,24 @@ class TestOperatorNormCurve:
         grid = np.linspace(0.0, 2.0, 21)
         with pytest.raises(TruncationError):
             operator_norm_curve(model, params, grid)
+
+
+class TestBatchedNormCurve:
+    def test_refined_norm_lands_on_the_grid(self):
+        model = make_model(L=math.pi, n_modes=4)
+        params = KernelParams(1.0, 0.5, 0.5)
+        grid = np.linspace(0.0, 1.0, 5)
+        coarse = operator_norm_curve(model, params, grid, method="volterra",
+                                     dt=0.01)
+        fine = operator_norm_curve(model, params, np.arange(101) * 0.01,
+                                   method="volterra")
+        assert np.array_equal(coarse.times, grid)
+        assert np.array_equal(coarse.values, fine.values[::25])
+
+    def test_shared_failure_reported_on_the_first_mode(self):
+        # a 0.5 step is outside the Volterra budget for every mode
+        with pytest.raises(ModeError) as info:
+            operator_norm_curve(make_model(), KernelParams(1.0, 0.5, 0.5),
+                                [0.0, 0.5, 1.0], method="volterra")
+        assert info.value.mode_index == 1
+        assert "mode 1" in str(info.value)

@@ -5,6 +5,8 @@ import pytest
 
 from memdiff import (DomainError, KernelParams, StepSizeError, VolterraConfig,
                      kernel_a, solve_volterra)
+from memdiff import (ScalarProblem, solve_volterra_batch,
+                     solve_volterra_on_grid, volterra_grid)
 from conftest import problem
 
 
@@ -136,3 +138,187 @@ class TestEquationConsistency:
             conv = self.singular_convolution(params, t, u, i)
             residuals.append(abs(du - prob.rho * u[i] - prob.rho * conv))
         assert max(residuals) <= dt ** params.mu
+
+
+# kernel_a values of the one-point implementation this table engine replaced,
+# as float.hex strings: the table must keep every bit.
+PINNED_KERNEL = [
+    ((1.0, 1.0, 0.5), 0.005, "0x1.1464507526871p+0"),
+    ((1.0, 1.0, 0.5), 20.0, "0x1.fffffffee8c3dp+0"),
+    ((-0.2, 1.0, 0.5), 1.25, "0x1.a542032c48a10p-1"),
+    ((1.0, 0.0, 0.3), 0.7, "0x1.00266ff3e379ap+1"),
+    ((0.5, 2.0, 0.05), 0.3, "0x1.78be3012048e0p+0"),
+    ((1.0, 0.5, 1.0), 7.0, "0x1.7844fbf9c6c02p+1"),
+]
+
+
+def one_point_inc_gamma(mu, x):
+    """The scalar P(mu, x) the table engine replaced, kept as the reference
+    for its bits."""
+    log_front = -x + mu * math.log(x) - math.lgamma(mu)
+    if x < mu + 1.0:
+        ap, total = mu, 1.0 / mu
+        delta = total
+        while abs(delta) >= abs(total) * 1e-16:
+            ap += 1.0
+            delta *= x / ap
+            total += delta
+        return total * math.exp(log_front)
+    tiny = 1e-300
+    b = x + 1.0 - mu
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    delta = 0.0
+    i = 0
+    while abs(delta - 1.0) >= 1e-16:
+        i += 1
+        an = -i * (i - mu)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+    return 1.0 - math.exp(log_front) * h
+
+
+def one_point_kernel(params, t):
+    if t == 0.0:
+        return 1.0
+    if params.beta == 0.0:
+        return 1.0 + params.alpha * t ** params.mu / math.gamma(params.mu + 1.0)
+    return 1.0 + params.alpha * params.beta ** (-params.mu) * one_point_inc_gamma(
+        params.mu, params.beta * t)
+
+
+def one_mode_march(params, rho, dt, n):
+    """The per-mode march the batched engine replaced: np.dot on a reversed
+    view of the table."""
+    a = np.array([one_point_kernel(params, i * dt) for i in range(n + 1)])
+    denom = 1.0 - 0.5 * rho * dt
+    u = np.empty(n + 1)
+    u[0] = 1.0
+    a_rev = a[::-1]
+    for i in range(1, n + 1):
+        hist = 0.5 * a[i]
+        if i > 1:
+            hist += np.dot(a_rev[n - i + 1:n], u[1:i])
+        u[i] = (1.0 + rho * dt * hist) / denom
+    return u
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("params", [
+        KernelParams(1.0, 0.0, 0.3),    # beta = 0: the power law
+        KernelParams(-0.2, 1.0, 0.5),   # negative alpha
+        KernelParams(0.5, 2.0, 0.05),   # mu near 0
+        KernelParams(1.0, 0.5, 1.0),
+    ])
+    def test_table_equals_one_point_calls(self, params):
+        t = np.arange(8001) * 0.005
+        table = kernel_a(params, t)
+        assert table.shape == (8001,)
+        assert table[0] == 1.0
+        for i in list(range(0, 8001, 61)) + [8000]:
+            assert t[i] == i * 0.005
+            assert table[i] == kernel_a(params, i * 0.005), i
+
+    @pytest.mark.parametrize("params", [
+        KernelParams(1.0, 0.0, 0.3),
+        KernelParams(-0.2, 1.0, 0.5),
+        KernelParams(0.5, 2.0, 0.05),
+        KernelParams(1.0, 30.0, 0.5),
+    ])
+    def test_table_keeps_the_one_point_arithmetic(self, params):
+        table = kernel_a(params, np.arange(8001) * 0.005)
+        expected = [one_point_kernel(params, i * 0.005) for i in range(8001)]
+        assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("params,t,expected", PINNED_KERNEL)
+    def test_pinned_values(self, params, t, expected):
+        kp = KernelParams(*params)
+        assert kernel_a(kp, t).hex() == expected
+        assert float(kernel_a(kp, np.array([0.0, t, 2.0 * t]))[1]).hex() == expected
+
+    def test_negative_time_in_table_rejected(self):
+        with pytest.raises(DomainError):
+            kernel_a(KernelParams(1.0, 1.0, 0.5), np.array([0.0, 0.1, -0.1]))
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("params,rho", [(KernelParams(1.0, 1.0, 0.5), -2.0),
+                                            (KernelParams(-0.2, 0.0, 0.3), -9.0)])
+    def test_march_keeps_the_one_mode_arithmetic(self, params, rho):
+        curve = solve_volterra(ScalarProblem(params, rho),
+                               VolterraConfig(0.005, 1000))
+        assert np.array_equal(curve.values,
+                              one_mode_march(params, rho, 0.005, 1000))
+
+    @pytest.mark.parametrize("params", [KernelParams(1.0, 0.5, 0.5),
+                                        KernelParams(-0.2, 0.0, 0.3)])
+    def test_each_row_of_a_16_mode_batch_is_the_batch_of_one(self, params):
+        rhos = [-float(n * n) for n in range(1, 17)]
+        cfg = VolterraConfig(0.005, 1000)
+        batch = solve_volterra_batch(params, rhos, cfg)
+        assert batch.shape == (16, 1001)
+        for row, rho in zip(batch, rhos):
+            one = solve_volterra(ScalarProblem(params, rho), cfg)
+            assert np.array_equal(row, one.values)
+
+    def test_short_solve_is_a_prefix_of_the_long_one(self):
+        prob = problem(1.0, 1.0, 0.5, -2.0)
+        short = solve_volterra(prob, VolterraConfig(0.005, 4000))
+        long = solve_volterra(prob, VolterraConfig(0.005, 8000))
+        assert np.array_equal(short.values, long.values[:4001])
+        assert np.array_equal(short.times, long.times[:4001])
+
+    def test_degenerate_row_raises(self):
+        with pytest.raises(StepSizeError):
+            solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 20.0],
+                                 VolterraConfig(0.1, 10))
+
+
+class TestVolterraGrid:
+    def test_grid_is_its_own_stepping_grid(self):
+        grid = np.arange(0.0, 201.0) * 0.01
+        cfg, per_cell = volterra_grid(grid)
+        assert (cfg.dt, cfg.n_steps, per_cell) == (grid[1], 200, 1)
+
+    def test_cells_split_into_steps_no_longer_than_dt(self):
+        grid = np.linspace(0.0, 5.0, 32)
+        cfg, per_cell = volterra_grid(grid, 0.0025)
+        assert per_cell == 65
+        assert cfg.n_steps == 65 * 31
+        assert cfg.dt == 5.0 / cfg.n_steps <= 0.0025
+
+    def test_one_step_per_cell_on_linspace_is_the_end_over_steps(self):
+        for tmax, points in ((5.0, 51), (7.3, 1001), (0.3, 11), (20.0, 4001)):
+            grid = np.linspace(0.0, tmax, points)
+            cfg, per_cell = volterra_grid(grid, 0.1)
+            assert per_cell == 1
+            assert cfg.dt == tmax / (points - 1)
+
+    def test_long_linspace_grid_is_uniform(self):
+        # its cells differ by more than 1e-12 relative through node rounding
+        grid = np.linspace(0.0, 5.0, 100001)
+        cfg, per_cell = volterra_grid(grid)
+        assert (cfg.dt, cfg.n_steps, per_cell) == (grid[1], 100000, 1)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5], [0.1, 0.2, 0.3], [0.0],
+                                      [0.0, 0.05, 0.1000001]])
+    def test_non_uniform_or_shifted_grid_rejected(self, grid):
+        with pytest.raises(DomainError):
+            volterra_grid(grid)
+
+    def test_on_grid_values_are_fine_solve_nodes(self):
+        prob = problem(1.0, 1.0, 0.5, -1.0)
+        grid = np.linspace(0.0, 1.0, 5)
+        curve = solve_volterra_on_grid(prob, grid, 0.01)
+        fine = solve_volterra(prob, VolterraConfig(0.01, 100))
+        assert np.array_equal(curve.times, grid)
+        assert np.array_equal(curve.values, fine.values[::25])
