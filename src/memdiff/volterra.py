@@ -19,16 +19,26 @@ dt <= 0.005 is the budget used for golden comparisons.
 One engine serves every caller.  The kernel does not depend on rho, so its
 table a(i dt), i = 0..n, is built once per solve in one numpy pass
 (:func:`kernel_a` on the array of nodes) and shared by every rho of a batch.
-The march then advances all rows together: the history sum of every row is
-one ``np.vecdot`` per step.
+The march then takes one of two loops, chosen by the batch size:
 
-Batch invariance: each row of that ``vecdot`` is one BLAS ``ddot`` over
-contiguous memory, the call ``np.dot`` makes for a single row, so a row's
-values do not depend on the batch it is marched in, and
-:func:`solve_volterra` is the batch of one.  Matrix-vector products (``@``)
-and ``sum(axis=...)`` block their sums by batch size and are not used.  The
-march is causal, so the first n + 1 values of a 2n-step solve are the n-step
-solve bit for bit.
+- two or more rows advance together, and the history sums of all rows are
+  one ``np.vecdot`` per step, so the call overhead is shared by the rows;
+- a batch of one marches on Python floats: one ``np.dot`` per step for the
+  history sum and float arithmetic for the update.  That is the batched
+  step without its array temporaries; on a 2-CPU host a step costs about
+  1.5 us at n = 1,000 and 3.4 us at n = 8,000, against 8-10 us for one row
+  in the batched loop.
+
+Batch invariance: each row of that ``vecdot`` and the one-row ``np.dot`` are
+the same BLAS ``ddot`` over contiguous memory, and Python floats round as
+numpy's elementwise operations do, so a row's values do not depend on the
+batch it is marched in, and :func:`solve_volterra` is the batch of one.
+A matrix-vector product (``@`` on the batch), ``sum``, ``math.fsum``, a
+reciprocal of the denominator and fused forms regroup or reround the
+arithmetic and are not used.  The march is causal, so the first n + 1 values
+of a 2n-step solve are the n-step solve bit for bit.  A solution that
+overflows raises :class:`~memdiff.errors.AccuracyError` instead of returning
+``inf``.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import AccuracyError, DomainError, StepSizeError
 from .resolvent import Curve, CurveMethod
 from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
@@ -103,16 +113,40 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
             "shrink dt")
     rho_dt = rhos * dt
     a = kernel_a(params, np.arange(n + 1) * dt)
-    # Contiguous, so each row of vecdot below is one BLAS ddot.
+    # Contiguous, so each history sum below is one BLAS ddot.
     a_rev = a[::-1].copy()
     u = np.empty((rhos.size, n + 1))
     u[:, 0] = 1.0
-    for i in range(1, n + 1):
-        hist = 0.5 * a[i]  # j = 0 endpoint, u(0) = 1
-        if i > 1:
-            hist = hist + np.vecdot(a_rev[n - i + 1:n], u[:, 1:i])
-        u[:, i] = (1.0 + rho_dt * hist) / denom
+    # Overflow is reported once, below, as an AccuracyError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rhos.size == 1:
+            _march_row(a, a_rev, float(rho_dt[0]), float(denom[0]), u[0])
+        else:
+            for i in range(1, n + 1):
+                hist = 0.5 * a[i]  # j = 0 endpoint, u(0) = 1
+                if i > 1:
+                    hist = hist + np.vecdot(a_rev[n - i + 1:n], u[:, 1:i])
+                u[:, i] = (1.0 + rho_dt * hist) / denom
+    finite = np.isfinite(u)
+    if not finite.all():
+        r, i = np.argwhere(~finite)[0]
+        raise AccuracyError(
+            f"Volterra solution is not finite for rho={float(rhos[r])!r} "
+            f"from t={i * dt:.6g} on")
     return u
+
+
+def _march_row(a, a_rev, rho_dt: float, denom: float, row) -> None:
+    """March one row in place on Python floats: the same ddot and the same
+    rounded operations as a row of the batched loop, without its per-step
+    array overhead."""
+    n = row.size - 1
+    dot = np.dot
+    half_a = (0.5 * a).tolist()
+    row[1] = (1.0 + rho_dt * half_a[1]) / denom
+    for i in range(2, n + 1):
+        hist = half_a[i] + float(dot(a_rev[n - i + 1:n], row[1:i]))
+        row[i] = (1.0 + rho_dt * hist) / denom
 
 
 def solve_volterra(prob: ScalarProblem, cfg: VolterraConfig) -> Curve:

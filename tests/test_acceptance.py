@@ -20,6 +20,7 @@ from memdiff import (ConvergenceError, Curve, DecayBound, InversionConfig,
                      invert_S, laplace_S_hat, lemma_property_suite,
                      mode_curve, mu1_closed_form, operator_norm_curve,
                      series_S, series_curve, solve_volterra,
+                     solve_volterra_on_grid,
                      theoretical_bound, verify_bound, field)
 from conftest import problem, sup_deviation
 
@@ -38,14 +39,6 @@ MU1_NAMED = [problem(1.0, 3.0, 1.0, -1.0),      # double root
 
 def report(criterion: str, detail: str) -> None:
     print(f"[{criterion}] PASS - {detail}")
-
-
-def volterra_on(prob, grid, dt):
-    spacing = grid[1] - grid[0]
-    per_cell = max(1, math.ceil(spacing / dt - 1e-9))
-    n_steps = per_cell * (grid.size - 1)
-    curve = solve_volterra(prob, VolterraConfig(grid[-1] / n_steps, n_steps))
-    return curve.values[::per_cell]
 
 
 def test_criterion_1_three_way_agreement():
@@ -68,7 +61,7 @@ def test_criterion_1_three_way_agreement():
         assert excluded < 0.20
         worst_excluded = max(worst_excluded, excluded)
 
-        volterra_vals = volterra_on(prob, grid, 0.0025)
+        volterra_vals = solve_volterra_on_grid(prob, grid, 0.0025).values
         laplace_vals = np.array(
             [1.0] + [invert_S(prob, float(t)) for t in grid[1:]])
 

@@ -1,14 +1,33 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from memdiff.cli import main
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
-    import os
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``memdiff.cli.main(args)`` in this process, with its output captured
+    and a ``SystemExit`` (argparse) mapped to its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_cli_process(*args: str, env_extra: dict | None = None
+                    ) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, for what one process cannot show."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -90,16 +109,18 @@ class TestScalarCurve:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("scalar-curve", "--alpha", "0.5", "--beta", "1", "--mu", "0.3",
                 "--rho", "-2", "--tmax", "3", "--points", "17")
-        run_cli(*args, "--out", str(a))
-        run_cli(*args, "--out", str(b))
+        run_cli_process(*args, "--out", str(a))
+        run_cli_process(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("scalar-curve", "--alpha", "1", "--beta", "0", "--mu", "0.8",
                 "--rho", "-1", "--tmax", "3", "--points", "9")
-        run_cli(*args, "--out", str(a), env_extra={"MEMDIFF_THREADS": "1"})
-        run_cli(*args, "--out", str(b), env_extra={"MEMDIFF_THREADS": "4"})
+        run_cli_process(*args, "--out", str(a),
+                        env_extra={"MEMDIFF_THREADS": "1"})
+        run_cli_process(*args, "--out", str(b),
+                        env_extra={"MEMDIFF_THREADS": "4"})
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
@@ -125,6 +146,13 @@ class TestScalarCurve:
                      "1", "--rho", "-6", "--tmax", "10", "--points", "6")
         assert cp.returncode == 2
         assert "t=" in cp.stderr
+
+    def test_non_finite_volterra_exits_2(self):
+        cp = run_cli("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r",
+                     "50", "--method", "volterra", "--tmax", "20")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "rho=50.0" in cp.stderr and "t=" in cp.stderr
 
 
 class TestNormCurve:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from memdiff import (DomainError, KernelParams, StepSizeError, VolterraConfig,
-                     kernel_a, solve_volterra)
+from memdiff import (AccuracyError, DomainError, KernelParams, StepSizeError,
+                     VolterraConfig, kernel_a, solve_volterra)
 from memdiff import (ScalarProblem, solve_volterra_batch,
                      solve_volterra_on_grid, volterra_grid)
 from conftest import problem
@@ -98,6 +98,17 @@ class TestSolveVolterra:
                                VolterraConfig(0.005, 400))
         assert np.all(np.abs(curve.values[1:]) < 0.2)
         assert np.all(np.isfinite(curve.values))
+
+    def test_non_finite_solution_raises(self):
+        # u grows like e^{c t} and overflows near t = 12.5
+        with pytest.raises(AccuracyError, match=r"rho=50\.0 from t=12\.4"):
+            solve_volterra(problem(1.0, 0.0, 0.5, 50.0),
+                           VolterraConfig(0.0025, 8000))
+
+    def test_non_finite_batch_row_raises(self):
+        with pytest.raises(AccuracyError, match=r"rho=50\.0 from t=12\.4"):
+            solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 50.0],
+                                 VolterraConfig(0.0025, 8000))
 
 
 class TestEquationConsistency:
@@ -252,23 +263,35 @@ class TestKernelTable:
 
 class TestBatchedMarch:
     @pytest.mark.parametrize("params,rho", [(KernelParams(1.0, 1.0, 0.5), -2.0),
-                                            (KernelParams(-0.2, 0.0, 0.3), -9.0)])
+                                            (KernelParams(-0.2, 0.0, 0.3), -9.0),
+                                            (KernelParams(0.5, 0.0, 0.05), -1.0),
+                                            (KernelParams(1.0, 0.5, 0.5), -256.0)])
     def test_march_keeps_the_one_mode_arithmetic(self, params, rho):
         curve = solve_volterra(ScalarProblem(params, rho),
-                               VolterraConfig(0.005, 1000))
+                               VolterraConfig(0.005, 8000))
         assert np.array_equal(curve.values,
-                              one_mode_march(params, rho, 0.005, 1000))
+                              one_mode_march(params, rho, 0.005, 8000))
 
     @pytest.mark.parametrize("params", [KernelParams(1.0, 0.5, 0.5),
                                         KernelParams(-0.2, 0.0, 0.3)])
     def test_each_row_of_a_16_mode_batch_is_the_batch_of_one(self, params):
-        rhos = [-float(n * n) for n in range(1, 17)]
-        cfg = VolterraConfig(0.005, 1000)
+        # A batch of two or more rows marches in the batched loop, a batch
+        # of one in the one-row loop: the two must agree bit for bit.
+        rhos = [-float(k * k) for k in range(1, 17)]
+        cfg = VolterraConfig(0.005, 8000)
         batch = solve_volterra_batch(params, rhos, cfg)
-        assert batch.shape == (16, 1001)
+        assert batch.shape == (16, 8001)
         for row, rho in zip(batch, rhos):
             one = solve_volterra(ScalarProblem(params, rho), cfg)
             assert np.array_equal(row, one.values)
+        # The Richardson estimate equals the one from two batched solves.
+        ends = [rhos[0], rhos[-1]]
+        fine = solve_volterra_batch(params, ends, VolterraConfig(0.0025, 16000))
+        for coarse, fine_row, rho in zip(batch[[0, -1]], fine, ends):
+            one = solve_volterra(ScalarProblem(params, rho),
+                                 VolterraConfig(0.005, 8000, richardson=True))
+            assert one.error_estimate == float(
+                np.max(np.abs(fine_row[::2] - coarse)))
 
     def test_short_solve_is_a_prefix_of_the_long_one(self):
         prob = problem(1.0, 1.0, 0.5, -2.0)
