@@ -10,9 +10,7 @@ verify        cross-validate the three routes, run the inequality suites
 classify      print the regime and its theoretical decay envelope
 
 Exit codes: 0 success, 1 verification failure, 2 numerical/convergence
-error, 3 hypothesis/regime error, 64 usage error.  ``MEMDIFF_THREADS`` caps
-internal parallelism over grid points (0 = one worker per CPU); output
-ordering follows the grid regardless.
+error, 3 hypothesis/regime error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -20,15 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (AccuracyError, ContourError, ConvergenceError,
-                     DomainError, HypothesisError, MemdiffError,
-                     SingularityError, StepSizeError, TruncationError)
+from .errors import ConvergenceError, DomainError, HypothesisError, MemdiffError
 from .inversion import InversionConfig, invert_S_curve
 from .resolvent import Curve, CurveMethod, series_S, series_curve
 from .special import MLParams, SeriesControl, _prabhakar_full
@@ -45,27 +40,12 @@ EXIT_HYPOTHESIS = 3
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
-_NUMERICAL_ERRORS = (ConvergenceError, AccuracyError, SingularityError,
-                     ContourError, StepSizeError, TruncationError)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("MEMDIFF_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"MEMDIFF_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DomainError(f"MEMDIFF_THREADS must be >= 0, got {n}")
-    return os.cpu_count() if n == 0 else n
 
 
 def _fmt(x: float) -> str:
@@ -134,16 +114,13 @@ def cmd_scalar_curve(args) -> int:
               f"mu={args.mu}); pass --force to compute anyway", file=sys.stderr)
         return EXIT_HYPOTHESIS
     grid = _grid(args.tmax, args.points)
-    workers = _max_workers()
     method = CurveMethod(args.method)
     if method is CurveMethod.SERIES:
-        curve = series_curve(prob, grid, SeriesControl(rel_tol=args.rel_tol),
-                             max_workers=workers)
+        curve = series_curve(prob, grid, SeriesControl(rel_tol=args.rel_tol))
     elif method is CurveMethod.VOLTERRA:
         curve = solve_volterra_on_grid(prob, grid, args.dt)
     else:
-        curve = invert_S_curve(prob, grid, InversionConfig(n_nodes=args.nodes),
-                               max_workers=workers)
+        curve = invert_S_curve(prob, grid, InversionConfig(n_nodes=args.nodes))
     _write(args.out, _curve_csv(curve) if args.format == "csv"
            else _curve_json(curve))
     return EXIT_OK
@@ -203,7 +180,6 @@ def cmd_verify(args) -> int:
         return EXIT_HYPOTHESIS
 
     grid = _grid(args.tmax, args.points)
-    workers = _max_workers()
 
     # Series route, skipping points where the series honestly fails.
     series_vals = np.full(grid.size, np.nan)
@@ -217,7 +193,7 @@ def cmd_verify(args) -> int:
     excluded_fraction = 1.0 - float(np.mean(series_ok))
 
     volterra = solve_volterra_on_grid(prob, grid, args.dt)
-    laplace = invert_S_curve(prob, grid, InversionConfig(), max_workers=workers)
+    laplace = invert_S_curve(prob, grid, InversionConfig())
 
     if series_ok.any():
         dev_sv = _deviation(series_vals[series_ok], volterra.values[series_ok])
@@ -382,9 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HypothesisError as exc:
         print(f"memdiff: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except _NUMERICAL_ERRORS as exc:
-        print(f"memdiff: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except MemdiffError as exc:
         print(f"memdiff: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

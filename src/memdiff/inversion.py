@@ -18,6 +18,11 @@ max(1, 2(|rho| + beta)) keeps the symbol's poles and its branch cut
 and the transforms are real-symmetric, the imaginary part of the quadrature
 sum is pure noise; its magnitude is the trust diagnostic.
 
+``invert_transform`` is the one quadrature routine: it calls its transform
+once, array in and array out, on all contour nodes.  ``invert_S`` is that
+routine applied to S_hat behind a guard that raises :class:`ContourError`
+when a node lies on a pole of the denominator.
+
 The forward transform is plain trapezoidal quadrature of e^{-lam t} times a
 sampled curve plus an analytic exponential-tail correction.
 """
@@ -25,7 +30,6 @@ sampled curve plus an analytic exponential-tail correction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,19 +86,21 @@ def _contour(t: float, n_nodes: int, scale: float):
     return lam, h * dlam / (2j * np.pi)
 
 
-def invert_transform(transform: Callable[[complex], complex], t: float,
+def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t: float,
                      cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
                      contour_scale: float = 1.0) -> tuple[float, float]:
     """Invert an arbitrary scalar transform at time t > 0.
 
-    Returns ``(value, im_residue)``; the result is trustworthy only when the
-    residue is small (< 1e-8 for the resolvent wrappers).
+    ``transform`` is called once, on the complex array of contour nodes, and
+    returns the array of its values there.  Returns ``(value, im_residue)``;
+    the result is trustworthy only when the residue is small (< 1e-8 for the
+    resolvent wrappers).
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"inversion requires t > 0, got {t}")
     scale = cfg.contour_scale if cfg.contour_scale is not None else contour_scale
     lam, weights = _contour(t, cfg.n_nodes, scale)
-    vals = np.array([transform(complex(l)) for l in lam], dtype=np.complex128)
+    vals = np.asarray(transform(lam), dtype=np.complex128)
     total = np.sum(np.exp(lam * t) * vals * weights)
     return float(total.real), float(abs(total.imag))
 
@@ -106,40 +112,28 @@ def _default_scale(prob: ScalarProblem) -> float:
 def invert_S(prob: ScalarProblem, t: float,
              cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> float:
     """S(t) by contour quadrature of its closed-form transform (t > 0)."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"inversion requires t > 0, got {t}")
-    scale = cfg.contour_scale if cfg.contour_scale is not None else _default_scale(prob)
-    lam, weights = _contour(t, cfg.n_nodes, scale)
-    den = laplace_S_hat_den(prob, lam)
-    if np.any(np.abs(den) < _NODE_POLE_TOL):
-        raise ContourError(
-            f"contour node within {_NODE_POLE_TOL} of a pole at t={t}; "
-            "increase contour_scale")
-    vals = laplace_S_hat(prob, lam)
-    total = np.sum(np.exp(lam * t) * vals * weights)
-    residue = abs(float(total.imag))
+
+    def s_hat(lam: np.ndarray) -> np.ndarray:
+        if np.any(np.abs(laplace_S_hat_den(prob, lam)) < _NODE_POLE_TOL):
+            raise ContourError(
+                f"contour node within {_NODE_POLE_TOL} of a pole at t={t}; "
+                "increase contour_scale")
+        return laplace_S_hat(prob, lam)
+
+    value, residue = invert_transform(s_hat, t, cfg, _default_scale(prob))
     if residue >= IM_RESIDUE_TOL:
         raise AccuracyError(
             f"imaginary residue {residue:.2e} at t={t} exceeds "
             f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")
-    return float(total.real)
+    return value
 
 
 def invert_S_curve(prob: ScalarProblem, times,
-                   cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
-                   max_workers: int | None = None) -> Curve:
+                   cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> Curve:
     """Sample S on a grid starting at t = 0; the t = 0 value is the known
     S(0) = 1 (the contour rule itself is undefined there)."""
     grid = _validate_grid(times)
-
-    def one(t: float) -> float:
-        return 1.0 if t == 0.0 else invert_S(prob, float(t), cfg)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(one, grid))
-    else:
-        values = [one(t) for t in grid]
+    values = [1.0 if t == 0.0 else invert_S(prob, float(t), cfg) for t in grid]
     return Curve(grid, np.array(values), CurveMethod.LAPLACE, prob)
 
 

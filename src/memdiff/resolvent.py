@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,21 +61,14 @@ class Curve:
     error_estimate: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if isinstance(self.method, CurveMethod):
             self.method = self.method.value
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise DomainError("times and values must be 1-D arrays of equal length")
-        if self.times.size == 0:
-            raise DomainError("curve must contain at least one sample")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise DomainError("times must be strictly increasing")
-        if self.problem is not None:
-            if self.times[0] != 0.0:
-                raise DomainError("resolvent curves must start at t = 0")
-            if abs(self.values[0] - 1.0) > 1e-9:
-                raise DomainError("resolvent curves must satisfy S(0) = 1")
+        self.times = _validate_grid(self.times, from_zero=self.problem is not None)
+        if self.times.shape != self.values.shape:
+            raise DomainError("times and values must be of equal length")
+        if self.problem is not None and abs(self.values[0] - 1.0) > 1e-9:
+            raise DomainError("resolvent curves must satisfy S(0) = 1")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -96,11 +88,13 @@ class Mu1Classification:
     case: Mu1Case
 
 
-def _validate_grid(times) -> np.ndarray:
+def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
+    """``times`` as a non-empty, strictly increasing 1-D float array that
+    starts at t = 0 when ``from_zero``."""
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("time grid must be a non-empty 1-D array")
-    if grid[0] != 0.0:
+    if from_zero and grid[0] != 0.0:
         raise DomainError("time grid must start at t = 0")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
@@ -169,29 +163,18 @@ def series_S(prob: ScalarProblem, t: float,
 
 
 def series_curve(prob: ScalarProblem, times,
-                 ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-                 max_workers: int | None = None) -> Curve:
-    """Sample S on a grid starting at t = 0.
-
-    ``max_workers`` > 1 evaluates grid points in a thread pool; the output
-    ordering follows the grid regardless.
-    """
+                 ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> Curve:
+    """Sample S on a grid starting at t = 0."""
     grid = _validate_grid(times)
-
-    def one(t: float) -> float:
+    values = np.empty(grid.size)
+    for i, t in enumerate(grid):
         try:
-            return series_S(prob, float(t), ctl)
+            values[i] = series_S(prob, float(t), ctl)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"t={t}: {exc}", reason=exc.reason,
                 last_term=exc.last_term, n_terms=exc.n_terms) from exc
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(one, grid))
-    else:
-        values = [one(t) for t in grid]
-    return Curve(grid, np.array(values), CurveMethod.SERIES, prob)
+    return Curve(grid, values, CurveMethod.SERIES, prob)
 
 
 def mu1_classify(prob: ScalarProblem) -> Mu1Classification:

@@ -173,8 +173,10 @@ def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
 #   lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),  n = 0, 1, ...
 # grown in chunks as evaluations reach them.  A grown list replaces the old
 # one instead of extending it, so a thread reading or growing a list while
-# another grows it never sees a misplaced coefficient.
+# another grows it never sees a misplaced coefficient.  The cache holds at
+# most _COEFF_CACHE_KEYS keys; a new key past that evicts the oldest.
 _COEFF_CACHE: dict[tuple[float, int], list[float]] = {}
+_COEFF_CACHE_KEYS = 1024
 _CHUNK = 64
 
 
@@ -191,6 +193,8 @@ def _log_coeffs(mu: float, k: int, n_needed: int) -> list[float]:
             - math.lgamma(n * step + k + 1.0)
             for n in range(len(coeffs), stop)
         ]
+        if key not in _COEFF_CACHE and len(_COEFF_CACHE) >= _COEFF_CACHE_KEYS:
+            _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)), None)
         _COEFF_CACHE[key] = coeffs
     return coeffs
 

@@ -76,13 +76,6 @@ class TestSeriesCurve:
         curve = series_curve(prob, grid)
         assert np.allclose(curve.values, np.exp(-2.0 * grid), rtol=1e-12)
 
-    def test_thread_pool_matches_sequential(self):
-        prob = problem(1.0, 1.0, 0.5, -1.0)
-        grid = np.linspace(0.0, 4.0, 17)
-        seq = series_curve(prob, grid)
-        par = series_curve(prob, grid, max_workers=4)
-        assert np.array_equal(seq.values, par.values)
-
     def test_error_tagged_with_time(self):
         prob = problem(1.0, 0.0, 1.0, -6.0)
         with pytest.raises(ConvergenceError) as info:

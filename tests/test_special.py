@@ -201,3 +201,17 @@ class TestCoefficientCache:
         assert coeffs == [math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
                           - math.lgamma(n * (mu + 1.0) + k + 1.0)
                           for n in range(len(coeffs))]
+
+    def test_key_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special, "_COEFF_CACHE", {})
+        mus = [0.05 + 0.0008 * i for i in range(1100)]
+        first = prabhakar_ml(MLParams(mus[0], 0), 0.5)
+        for mu in mus[1:]:
+            prabhakar_ml(MLParams(mu, 0), 0.5)
+            assert len(special._COEFF_CACHE) <= special._COEFF_CACHE_KEYS
+        assert len(special._COEFF_CACHE) == special._COEFF_CACHE_KEYS
+        # the oldest keys went first
+        assert (mus[0], 0) not in special._COEFF_CACHE
+        assert (mus[-1], 0) in special._COEFF_CACHE
+        again = prabhakar_ml(MLParams(mus[0], 0), 0.5)
+        assert float.hex(again) == float.hex(first)
