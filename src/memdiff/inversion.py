@@ -19,9 +19,15 @@ and the transforms are real-symmetric, the imaginary part of the quadrature
 sum is pure noise; its magnitude is the trust diagnostic.
 
 ``invert_transform`` is the one quadrature routine: it calls its transform
-once, array in and array out, on all contour nodes.  ``invert_S`` is that
-routine applied to S_hat behind a guard that raises :class:`ContourError`
-when a node lies on a pole of the denominator.
+once, array in and array out, on all contour nodes.  A vector of T times
+gives a (T, N) node array, one C-contiguous row per time, and each row sums
+exactly as a one-time call does, so a curve is one quadrature (``_contour``
+also takes one radius per row).  ``invert_S_curve`` applies it to S_hat on
+the whole grid behind a per-row guard that raises :class:`ContourError`
+when a node lies on a pole of the denominator; ``invert_S`` is its batch of
+one.  Of the rows that fail the guard or the residue check, the first in
+time order raises, and S_hat is evaluated only on the rows before the first
+guarded one.
 
 The forward transform is plain trapezoidal quadrature of e^{-lam t} times a
 sampled curve plus an analytic exponential-tail correction.
@@ -76,65 +82,104 @@ class InversionConfig:
 DEFAULT_INVERSION_CONFIG = InversionConfig()
 
 
-def _contour(t: float, n_nodes: int, scale: float):
-    radius = max(scale, min(n_nodes / 5.0, 16.0))
+def _contour(t: np.ndarray, n_nodes: int, radius):
+    """Nodes and weights of the rule at each time of ``t``: shape (N,) for a
+    scalar t, (T, N) for a vector, one C-contiguous row per time.
+    ``radius`` is a scalar or one value per time."""
     h = 2.0 * np.pi / n_nodes
     theta = -np.pi + (np.arange(n_nodes) + 0.5) * h
     cot = 1.0 / np.tan(theta)
-    lam = (radius / t) * theta * (cot + 1j)
-    dlam = (radius / t) * (cot - theta / np.sin(theta) ** 2 + 1j)
+    scale = (np.asarray(radius, dtype=float) / t)[..., None]
+    lam = scale * theta * (cot + 1j)
+    dlam = scale * (cot - theta / np.sin(theta) ** 2 + 1j)
     return lam, h * dlam / (2j * np.pi)
 
 
-def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t: float,
+def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
                      cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
-                     contour_scale: float = 1.0) -> tuple[float, float]:
-    """Invert an arbitrary scalar transform at time t > 0.
+                     contour_scale: float = 1.0):
+    """Invert an arbitrary scalar transform at a time t > 0, or at every time
+    of a vector of times.
 
-    ``transform`` is called once, on the complex array of contour nodes, and
-    returns the array of its values there.  Returns ``(value, im_residue)``;
-    the result is trustworthy only when the residue is small (< 1e-8 for the
-    resolvent wrappers).
+    ``transform`` is called once, on the complex array of contour nodes (one
+    row per time for a vector), and returns the array of its values there.
+    Returns ``(value, im_residue)``, as floats for a scalar t and as arrays
+    for a vector; a result is trustworthy only when its residue is small
+    (< 1e-8 for the resolvent wrappers).
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"inversion requires t > 0, got {t}")
+    times = np.asarray(t, dtype=float)
+    bad = times[~(np.isfinite(times) & (times > 0.0))]
+    if bad.size:
+        raise DomainError(f"inversion requires t > 0, got {float(bad[0])}")
     scale = cfg.contour_scale if cfg.contour_scale is not None else contour_scale
-    lam, weights = _contour(t, cfg.n_nodes, scale)
+    radius = max(scale, min(cfg.n_nodes / 5.0, 16.0))
+    lam, weights = _contour(times, cfg.n_nodes, radius)
     vals = np.asarray(transform(lam), dtype=np.complex128)
-    total = np.sum(np.exp(lam * t) * vals * weights)
-    return float(total.real), float(abs(total.imag))
+    total = np.sum(np.exp(lam * times[..., None]) * vals * weights, axis=-1)
+    if times.ndim == 0:
+        return float(total.real), float(abs(total.imag))
+    return total.real, np.abs(total.imag)
 
 
 def _default_scale(prob: ScalarProblem) -> float:
     return max(1.0, 2.0 * (abs(prob.rho) + prob.params.beta))
 
 
-def invert_S(prob: ScalarProblem, t: float,
-             cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> float:
-    """S(t) by contour quadrature of its closed-form transform (t > 0)."""
+def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
+                   cfg: InversionConfig) -> np.ndarray:
+    """S at every time of ``times`` (all > 0) by one contour quadrature over
+    the (T, N) node array, raising the error of the first failing time.
+
+    A time fails when a node lies within _NODE_POLE_TOL of a pole of the
+    denominator (:class:`ContourError`) or its imaginary residue reaches
+    IM_RESIDUE_TOL (:class:`AccuracyError`).  S_hat is evaluated only on the
+    rows before the first guarded one, so no later time can raise first.
+    """
+    guarded = len(times)
 
     def s_hat(lam: np.ndarray) -> np.ndarray:
-        if np.any(np.abs(laplace_S_hat_den(prob, lam)) < _NODE_POLE_TOL):
-            raise ContourError(
-                f"contour node within {_NODE_POLE_TOL} of a pole at t={t}; "
-                "increase contour_scale")
-        return laplace_S_hat(prob, lam)
+        nonlocal guarded
+        near = np.abs(laplace_S_hat_den(prob, lam)) < _NODE_POLE_TOL
+        rows = np.flatnonzero(near.any(axis=-1))
+        if not rows.size:
+            return laplace_S_hat(prob, lam)
+        guarded = int(rows[0])
+        vals = np.full(lam.shape, np.nan, dtype=np.complex128)
+        if guarded:
+            vals[:guarded] = laplace_S_hat(prob, lam[:guarded])
+        return vals
 
-    value, residue = invert_transform(s_hat, t, cfg, _default_scale(prob))
-    if residue >= IM_RESIDUE_TOL:
-        raise AccuracyError(
-            f"imaginary residue {residue:.2e} at t={t} exceeds "
-            f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")
-    return value
+    values, residues = invert_transform(s_hat, times, cfg, _default_scale(prob))
+    for i in range(guarded):
+        if residues[i] >= IM_RESIDUE_TOL:
+            raise AccuracyError(
+                f"imaginary residue {residues[i]:.2e} at t={times[i]} exceeds "
+                f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")
+    if guarded < len(times):
+        raise ContourError(
+            f"contour node within {_NODE_POLE_TOL} of a pole at "
+            f"t={times[guarded]}; increase contour_scale")
+    return values
+
+
+def invert_S(prob: ScalarProblem, t: float,
+             cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> float:
+    """S(t) by contour quadrature of its closed-form transform (t > 0): the
+    grid engine on the one-point grid [t]."""
+    return float(_invert_S_grid(prob, np.array([t], dtype=float), cfg)[0])
 
 
 def invert_S_curve(prob: ScalarProblem, times,
                    cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> Curve:
     """Sample S on a grid starting at t = 0; the t = 0 value is the known
-    S(0) = 1 (the contour rule itself is undefined there)."""
+    S(0) = 1 (the contour rule itself is undefined there).  One quadrature
+    serves every t > 0, and each value equals :func:`invert_S` at its time
+    bit for bit."""
     grid = _validate_grid(times)
-    values = [1.0 if t == 0.0 else invert_S(prob, float(t), cfg) for t in grid]
-    return Curve(grid, np.array(values), CurveMethod.LAPLACE, prob)
+    values = np.empty(grid.size)
+    values[0] = 1.0
+    values[1:] = _invert_S_grid(prob, grid[1:], cfg)
+    return Curve(grid, values, CurveMethod.LAPLACE, prob)
 
 
 def forward_transform(curve: Curve, lam: float, tail_rate: float) -> float:

@@ -15,7 +15,11 @@ together with the closed-form transforms of the scalar resolvent,
     G_hat(lam) = S_hat(lam - beta)   (transform of e^{beta t} S(t)).
 
 All powers use the principal branch.  Functions accept complex scalars or
-numpy arrays and return matching shapes.
+numpy arrays and return matching shapes.  The S_hat forms name every
+operand of a complex product: numpy computes ``a * (b - c)`` in place in
+the temporary ``b - c`` once it reaches 256 KiB, and its in-place complex
+product rounds differently, so an unnamed operand would make a large node
+array disagree with one row of it.
 """
 
 from __future__ import annotations
@@ -132,7 +136,8 @@ def laplace_S_hat_den(prob: ScalarProblem, lam):
     z = _as_complex(lam)
     p = prob.params
     w = (z + p.beta) ** p.mu
-    return _maybe_scalar(w * (z - prob.rho) - p.alpha * prob.rho, lam)
+    shifted = z - prob.rho
+    return _maybe_scalar(w * shifted - p.alpha * prob.rho, lam)
 
 
 def laplace_S_hat(prob: ScalarProblem, lam):
@@ -145,7 +150,8 @@ def laplace_S_hat(prob: ScalarProblem, lam):
     z = _as_complex(lam)
     p = prob.params
     w = (z + p.beta) ** p.mu
-    den = w * (z - prob.rho) - p.alpha * prob.rho
+    shifted = z - prob.rho
+    den = w * shifted - p.alpha * prob.rho
     _guard_pole(den)
     return _maybe_scalar(w / den, lam)
 

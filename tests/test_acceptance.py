@@ -19,9 +19,11 @@ from memdiff import (ConvergenceError, Curve, DecayBound, InversionConfig,
                      VolterraConfig, fit_decay_rate, forward_transform,
                      invert_S, laplace_S_hat, lemma_property_suite,
                      mode_curve, mu1_closed_form, operator_norm_curve,
-                     series_S, series_curve, solve_volterra,
+                     series_curve, solve_volterra,
                      solve_volterra_on_grid,
                      theoretical_bound, verify_bound, field)
+from memdiff.resolvent import _series_grid
+from memdiff.special import DEFAULT_SERIES_CONTROL
 from conftest import problem, sup_deviation
 
 GRID_ALPHA = (0.5, 1.0)
@@ -50,12 +52,10 @@ def test_criterion_1_three_way_agreement():
     worst = 0.0
     worst_excluded = 0.0
     for prob in GOLDEN_GRID:
-        series_vals = np.full(grid.size, np.nan)
-        for i, t in enumerate(grid):
-            try:
-                series_vals[i] = series_S(prob, float(t))
-            except ConvergenceError:
-                pass
+        # the per-point exclusions of memdiff verify's series leg
+        series_vals, failures = _series_grid(prob, grid,
+                                             DEFAULT_SERIES_CONTROL, False)
+        assert all(isinstance(e, ConvergenceError) for e in failures.values())
         ok = np.isfinite(series_vals)
         excluded = 1.0 - float(np.mean(ok))
         assert excluded < 0.20
@@ -96,14 +96,15 @@ def test_criterion_2_mu1_closed_forms():
             beta = rng.uniform(0.0, 2.0)
         rho = -rng.uniform(0.1, 1.0)
         prob = problem(alpha, beta, 1.0, rho)
-        for t in tgrid:
-            try:
-                got = series_S(prob, float(t))
-            except ConvergenceError:
+        got, failures = _series_grid(prob, tgrid, DEFAULT_SERIES_CONTROL,
+                                     False)
+        assert all(isinstance(e, ConvergenceError) for e in failures.values())
+        for i, t in enumerate(tgrid):
+            if i in failures:
                 skipped += 1
                 continue
-            assert got == pytest.approx(mu1_closed_form(prob, float(t)),
-                                        abs=1e-8)
+            assert got[i] == pytest.approx(mu1_closed_form(prob, float(t)),
+                                           abs=1e-8)
             checked += 1
     coverage = checked / (checked + skipped)
     assert coverage >= 0.80

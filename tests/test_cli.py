@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from memdiff import (ConvergenceError, KernelParams, ScalarProblem,
+                     series_S)
 from memdiff.cli import main
 
 
@@ -234,6 +236,23 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["passes"]["three_way_agreement"] is False
         assert doc["passes"]["lemma_suites"] is True
+
+    def test_series_exclusions_are_the_failing_points(self):
+        # (rho + beta) t reaches -60: the series fails at the late times
+        cp = run_cli("verify", "--alpha", "1", "--beta", "0", "--mu", "1",
+                     "--rho", "-6", "--tmax", "10", "--points", "11")
+        doc = json.loads(cp.stdout)
+        prob = ScalarProblem(KernelParams(1.0, 0.0, 1.0), -6.0)
+        ok = []
+        for t in np.linspace(0.0, 10.0, 11):
+            try:
+                series_S(prob, float(t))
+                ok.append(True)
+            except ConvergenceError:
+                ok.append(False)
+        assert not all(ok)
+        assert doc["grid"]["series_excluded_fraction"] == (
+            1.0 - float(np.mean(ok)))
 
     def test_unsupported_regime_exits_3(self):
         cp = run_cli("verify", "--alpha", "-1", "--beta", "1", "--mu", "0.5",

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import memdiff.inversion as inversion_mod
 from memdiff import (AccuracyError, ContourError, Curve, DomainError,
-                     InversionConfig, forward_transform, invert_S,
-                     invert_S_curve, invert_transform, laplace_S_hat,
-                     series_curve, mu1_closed_form)
-from conftest import problem
+                     InversionConfig, MemdiffError, forward_transform,
+                     invert_S, invert_S_curve, invert_transform,
+                     laplace_S_hat, series_curve, mu1_closed_form)
+from conftest import curve_sweep_cases, error_record, problem
 
 
 class TestConfig:
@@ -50,6 +51,21 @@ class TestInvertTransform:
         assert len(calls) == 1
         assert isinstance(calls[0], np.ndarray)
         assert calls[0].shape == (cfg.n_nodes,)
+
+    def test_vector_of_times_is_one_call_and_the_scalar_rows(self):
+        calls = []
+
+        def transform(lam):
+            calls.append(lam.shape)
+            return 1.0 / (lam + 1.0)
+
+        times = np.array([0.25, 1.0, 3.5])
+        values, residues = invert_transform(transform, times)
+        assert calls == [(3, 64)]
+        for t, value, residue in zip(times, values, residues):
+            assert (value, residue) == invert_transform(transform, float(t))
+        with pytest.raises(DomainError, match="got 0.0"):
+            invert_transform(transform, np.array([1.0, 0.0]))
 
 
 class TestInvertS:
@@ -110,6 +126,111 @@ class TestInvertSCurve:
         curve = invert_S_curve(double_root_problem, np.linspace(0.0, 2.0, 5))
         assert curve.values[0] == 1.0
         assert curve.method == "laplace"
+
+    # Bits of the per-point loop that sampled curves before the (T, N)
+    # contour array.
+    @pytest.mark.parametrize("params, grid, n_nodes, bits", [
+        ((1.0, 1.0, 0.5, -1.0), (5.0, 6), 64, [
+            "0x1.0000000000000p+0", "0x1.2ad3ccd840000p-3",
+            "-0x1.4b308561e0000p-6", "-0x1.e949f9b380000p-7",
+            "-0x1.e706ef9700000p-9", "-0x1.c756195000000p-12"]),
+        ((0.5, 0.0, 0.3, -2.0), (4.0, 5), 64, [
+            "0x1.0000000000000p+0", "0x1.12b46b1040000p-6",
+            "-0x1.cc3b6599e0000p-6", "-0x1.1e22f263e0000p-6",
+            "-0x1.82b2670bc0000p-7"]),
+        ((-0.2, 1.0, 0.8, -1.5), (3.0, 4), 64, [
+            "0x1.0000000000000p+0", "0x1.15d8c78fe8000p-2",
+            "0x1.936adbef88000p-4", "0x1.5bccf06ac0000p-5"]),
+        ((1.0, 0.5, 1.0, -1.0), (6.0, 4), 64, [
+            "0x1.0000000000000p+0", "-0x1.119971d620000p-3",
+            "-0x1.d26b321300000p-6", "0x1.6ecfc39f80000p-7"]),
+        ((1.0, 1.0, 0.5, -1.0), (5.0, 6), 16, [
+            "0x1.0000000000000p+0", "0x1.2ad1f21823158p-3",
+            "-0x1.4b3cdc0f76f80p-6", "-0x1.e96e1f555d200p-7",
+            "-0x1.e81a0611c8a00p-9", "-0x1.c03f7c8da3800p-12"]),
+        ((1.0, 1.0, 0.5, -1.0), (5.0, 6), 256, [
+            "0x1.0000000000000p+0", "0x1.2ad3cce3ca98cp-3",
+            "-0x1.4b3085133f576p-6", "-0x1.e949f950474dap-7",
+            "-0x1.e706ed3be8310p-9", "-0x1.c755fe5d766c0p-12"]),
+    ])
+    def test_pinned_bits(self, params, grid, n_nodes, bits):
+        curve = invert_S_curve(problem(*params), np.linspace(0.0, *grid),
+                               InversionConfig(n_nodes=n_nodes))
+        assert [float.hex(float(v)) for v in curve.values] == bits
+
+    def test_large_node_array_keeps_the_row_bits(self):
+        # 1,000 rows of 64 nodes: past the 256 KiB at which numpy would
+        # compute an unnamed temporary's complex product in place
+        prob = problem(1.0, 0.5, 0.5, -1.0)
+        grid = np.linspace(0.0, 5.0, 1001)
+        curve = invert_S_curve(prob, grid)
+        rows = [invert_S(prob, t) for t in grid[1:].tolist()]
+        assert curve.values[1:].tolist() == rows
+
+    @staticmethod
+    def _guard_rows_after(monkeypatch, t_first):
+        """Put a pole on node 3 of every row whose time is >= t_first, and
+        record the row counts S_hat is evaluated on."""
+        real_den = inversion_mod.laplace_S_hat_den
+        real_s_hat = inversion_mod.laplace_S_hat
+        rows = []
+
+        def fake_den(prob, lam):
+            den = np.array(real_den(prob, lam))
+            # the smallest node modulus of a row is about radius / t
+            radius = inversion_mod._default_scale(prob)
+            late = np.abs(lam).min(axis=-1) < 1.01 * radius / t_first
+            den[..., 3] = np.where(late, 1e-12, den[..., 3])
+            return den
+
+        def s_hat(prob, lam):
+            rows.append(lam.shape[0] if lam.ndim == 2 else 1)
+            return real_s_hat(prob, lam)
+
+        monkeypatch.setattr(inversion_mod, "laplace_S_hat_den", fake_den)
+        monkeypatch.setattr(inversion_mod, "laplace_S_hat", s_hat)
+        return rows
+
+    def test_earlier_residue_failure_wins_over_a_later_guard(self,
+                                                              monkeypatch):
+        # rho = -16 fails the residue check at every t; t >= 1 is guarded
+        prob = problem(1.0, 0.5, 0.5, -16.0)
+        rows = self._guard_rows_after(monkeypatch, 1.0)
+        with pytest.raises(AccuracyError) as info:
+            invert_S_curve(prob, [0.0, 0.5, 1.0, 2.0])
+        assert str(info.value) == (
+            "imaginary residue 4.88e-04 at t=0.5 exceeds 1e-08; the "
+            "inversion is not trustworthy")
+        assert rows == [1]  # S_hat never saw the guarded rows
+
+    def test_earlier_guard_wins_over_a_later_residue_failure(self,
+                                                              monkeypatch):
+        prob = problem(1.0, 0.5, 0.5, -16.0)
+        rows = self._guard_rows_after(monkeypatch, 0.5)
+        with pytest.raises(ContourError, match="at t=0.5; increase"):
+            invert_S_curve(prob, [0.0, 0.5, 1.0, 2.0])
+        assert rows == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(curve_sweep_cases(), st.sampled_from([16, 64, 256]))
+    def test_curve_is_the_batch_of_one(self, case, n_nodes):
+        prob, grid = case
+        cfg = InversionConfig(n_nodes=n_nodes)
+        expected, error = [1.0], None
+        for t in grid[1:]:
+            try:
+                expected.append(invert_S(prob, float(t), cfg))
+            except MemdiffError as exc:
+                error = exc
+                break
+        if error is None:
+            curve = invert_S_curve(prob, grid, cfg)
+            assert list(map(float.hex, curve.values.tolist())) == list(
+                map(float.hex, expected))
+        else:
+            with pytest.raises(MemdiffError) as info:
+                invert_S_curve(prob, grid, cfg)
+            assert error_record(info.value) == error_record(error)
 
 
 class TestForwardTransform:

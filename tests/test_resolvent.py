@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memdiff import (ConvergenceError, Curve, CurveMethod, DomainError,
                      Mu1Case, VolterraConfig, laplace_G_hat,
                      invert_transform, mu1_classify, mu1_closed_form,
                      series_S, series_curve, solve_volterra)
-from conftest import problem
+from memdiff.resolvent import _series_grid
+from memdiff.special import DEFAULT_SERIES_CONTROL
+from conftest import curve_sweep_cases, error_record, problem
 
 
 class TestSeriesS:
@@ -88,6 +91,84 @@ class TestSeriesCurve:
             series_curve(prob, [0.5, 1.0])
         with pytest.raises(DomainError):
             series_curve(prob, [0.0, 1.0, 1.0])
+
+    # Bits of the per-point loop that sampled curves before the grid engine
+    # (one outer walk per time); the last case has rho = 0, so z = 0.
+    @pytest.mark.parametrize("params, grid, bits", [
+        ((1.0, 1.0, 0.5, -1.0), (5.0, 6), [
+            "0x1.0000000000000p+0", "0x1.2ad3ccd7f749dp-3",
+            "-0x1.4b3085637e637p-6", "-0x1.e949f9bb78a4bp-7",
+            "-0x1.e706efaf01567p-9", "-0x1.c75618f226ed0p-12"]),
+        ((0.5, 0.0, 0.3, -2.0), (4.0, 5), [
+            "0x1.0000000000000p+0", "0x1.12b46b0d04facp-6",
+            "-0x1.cc3b659cb3c08p-6", "-0x1.1e22f266d64d5p-6",
+            "-0x1.82b267135a392p-7"]),
+        ((-0.2, 1.0, 0.8, -1.5), (3.0, 4), [
+            "0x1.0000000000000p+0", "0x1.15d8c78fc2926p-2",
+            "0x1.936adbeedadc4p-4", "0x1.5bccf0695ddeap-5"]),
+        ((1.0, 0.5, 1.0, -1.0), (6.0, 4), [
+            "0x1.0000000000000p+0", "-0x1.119971d660880p-3",
+            "-0x1.d26b32151a4cap-6", "0x1.6ecfc39b4a39bp-7"]),
+        ((1.0, 0.5, 0.5, 0.0), (5.0, 3), [
+            "0x1.0000000000000p+0", "0x1.fffffffffffffp-1",
+            "0x1.ffffffffffffcp-1"]),
+        # strong outer cancellation over more than one block of k
+        ((1.0, 0.5, 0.5, -4.0), (3.0, 4), [
+            "0x1.0000000000000p+0", "-0x1.5eb4c29ad08a4p-5",
+            "-0x1.ea8a467fee90fp-8", "-0x1.44f3d7ea753fdp-9"]),
+        ((0.5, 0.0, 0.8, -3.0), (4.0, 5), [
+            "0x1.0000000000000p+0", "-0x1.fdeafbf83f7cdp-5",
+            "-0x1.075fca0673751p-4", "-0x1.259ee7be07d67p-5",
+            "-0x1.66e19927cff54p-6"]),
+        ((1.0, 0.0, 1.0, -6.0), (2.0, 5), [
+            "0x1.0000000000000p+0", "-0x1.0e2f7af434f1ap-4",
+            "-0x1.749d02379bb27p-4", "-0x1.b65d90243efb0p-5",
+            "-0x1.d92a8264110aep-6"]),
+    ])
+    def test_pinned_bits(self, params, grid, bits):
+        curve = series_curve(problem(*params), np.linspace(0.0, *grid))
+        assert [float.hex(float(v)) for v in curve.values] == bits
+
+    @pytest.mark.parametrize("params, grid, message, reason, n_terms, last", [
+        # memdiff scalar-curve -a 1 -b 0.5 -m 0.5 -r -4 --tmax 5
+        ((1.0, 0.5, 0.5, -4.0), (5.0, 32),
+         "t=3.225806451612903: cancellation exhausted double precision at "
+         "t=3.225806451612903: estimated error 3.82e-08 on S of magnitude "
+         "2.00e-03", "precision", 55, "0x1.487eb27b4d1f0p-25"),
+        # memdiff scalar-curve -a 1 -b 0 -m 0.5 -r 300 --tmax 20 --points 5
+        ((1.0, 0.0, 0.5, 300.0), (20.0, 5),
+         "t=5.0: resolvent series did not converge within 2000 terms at "
+         "t=5.0", "max_terms", 2000, "inf"),
+    ])
+    def test_raises_as_the_per_point_loop(self, params, grid, message,
+                                          reason, n_terms, last):
+        with pytest.raises(ConvergenceError) as info:
+            series_curve(problem(*params), np.linspace(0.0, *grid))
+        assert error_record(info.value) == (ConvergenceError, message, reason,
+                                            n_terms, last)
+
+    @settings(max_examples=30, deadline=None)
+    @given(curve_sweep_cases())
+    def test_grid_engine_is_the_batch_of_one(self, case):
+        prob, grid = case
+        values, failures = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL,
+                                        False)
+        for i, t in enumerate(grid):
+            try:
+                expected = series_S(prob, float(t))
+            except ConvergenceError as exc:
+                assert error_record(failures[i]) == error_record(exc)
+                continue
+            assert i not in failures
+            assert float.hex(float(values[i])) == float.hex(expected)
+        if failures:
+            first = min(failures)
+            with pytest.raises(ConvergenceError) as info:
+                series_curve(prob, grid)
+            assert str(info.value) == f"t={grid[first]}: {failures[first]}"
+        else:
+            curve = series_curve(prob, grid)
+            assert curve.values.tobytes() == values.tobytes()
 
 
 class TestCurveType:

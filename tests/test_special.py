@@ -7,6 +7,7 @@ import pytest
 from memdiff import (ConvergenceError, DomainError, MLParams, SeriesControl,
                      log_gamma, prabhakar_ml, reg_lower_inc_gamma)
 from memdiff import special
+from conftest import error_record
 
 
 class TestLogGamma:
@@ -130,6 +131,36 @@ class TestPrabhakarML:
             prabhakar_ml(MLParams(0.9, 0), 1e9)
         assert info.value.reason == "overflow"
 
+    def test_overflow_raises_as_the_scalar_walk(self):
+        # memdiff eval-ml -m 0.5 -k 0 -z 30000
+        with pytest.raises(ConvergenceError) as info:
+            special._prabhakar_full(MLParams(0.5, 0), 30000.0,
+                                    special.DEFAULT_SERIES_CONTROL)
+        assert error_record(info.value) == (
+            ConvergenceError,
+            "series term overflows for z=30000.0 (mu=0.5, k=0)",
+            "overflow", 233, "inf")
+
+    def test_pairs_engine_is_the_one_pair_call(self):
+        # converging, alternating, z = 0, overflowing and max_terms pairs
+        ctl = SeriesControl(max_terms=64)
+        ks = np.array([0, 3, 3, 7, 0, 2, 0, 5])
+        zs = np.array([1.5, -31.4, 0.0, 60.0, 1e9, -2.0, 80.0, 0.3])
+        for mu in (0.05, 0.5, 1.0):
+            values, ests, n_terms, failures = special._prabhakar_pairs(
+                mu, ks, zs, ctl)
+            for i, (k, z) in enumerate(zip(ks.tolist(), zs.tolist())):
+                try:
+                    one = special._prabhakar_scaled(mu, k, z, ctl)
+                except ConvergenceError as exc:
+                    assert error_record(failures[i]) == error_record(exc)
+                    continue
+                assert i not in failures
+                assert (float.hex(float(values[i])), float.hex(float(ests[i])),
+                        int(n_terms[i])) == (float.hex(one[0]),
+                                             float.hex(one[1]), one[2])
+            assert failures  # the sample reaches the failure paths
+
     def test_max_terms_exhaustion_carries_last_term(self):
         with pytest.raises(ConvergenceError) as info:
             prabhakar_ml(MLParams(0.5, 0), 80.0, SeriesControl(max_terms=16))
@@ -201,6 +232,17 @@ class TestCoefficientCache:
         assert coeffs == [math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
                           - math.lgamma(n * (mu + 1.0) + k + 1.0)
                           for n in range(len(coeffs))]
+
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.77, 1.0])
+    def test_log_factorial_table_keeps_the_three_lgamma_bits(self, mu):
+        special._LOG_FACTORIAL_CACHE.clear()
+        for k in (0, 3, 17, 60):
+            special._COEFF_CACHE.pop((mu, k), None)
+            coeffs = special._log_coeffs(mu, k, 200)
+            for n in (0, 1, 2, 63, 64, 65, 127, 200):
+                three = (math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
+                         - math.lgamma(n * (mu + 1.0) + k + 1.0))
+                assert float.hex(coeffs[n]) == float.hex(three)
 
     def test_key_count_is_bounded(self, monkeypatch):
         monkeypatch.setattr(special, "_COEFF_CACHE", {})
