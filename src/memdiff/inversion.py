@@ -115,7 +115,9 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
     radius = max(scale, min(cfg.n_nodes / 5.0, 16.0))
     lam, weights = _contour(times, cfg.n_nodes, radius)
     vals = np.asarray(transform(lam), dtype=np.complex128)
-    total = np.sum(np.exp(lam * times[..., None]) * vals * weights, axis=-1)
+    # An overflowing sum is reported through its non-finite value.
+    with np.errstate(all="ignore"):
+        total = np.sum(np.exp(lam * times[..., None]) * vals * weights, axis=-1)
     if times.ndim == 0:
         return float(total.real), float(abs(total.imag))
     return total.real, np.abs(total.imag)
@@ -131,9 +133,10 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
     the (T, N) node array, raising the error of the first failing time.
 
     A time fails when a node lies within _NODE_POLE_TOL of a pole of the
-    denominator (:class:`ContourError`) or its imaginary residue reaches
-    IM_RESIDUE_TOL (:class:`AccuracyError`).  S_hat is evaluated only on the
-    rows before the first guarded one, so no later time can raise first.
+    denominator (:class:`ContourError`), or when its value is not finite or
+    its imaginary residue is not below IM_RESIDUE_TOL (:class:`AccuracyError`).
+    S_hat is evaluated only on the rows before the first guarded one, so no
+    later time can raise first.
     """
     guarded = len(times)
 
@@ -151,7 +154,11 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
 
     values, residues = invert_transform(s_hat, times, cfg, _default_scale(prob))
     for i in range(guarded):
-        if residues[i] >= IM_RESIDUE_TOL:
+        if not math.isfinite(values[i]):
+            raise AccuracyError(
+                f"contour sum is not finite at t={times[i]}; the inversion "
+                "is not trustworthy")
+        if not residues[i] < IM_RESIDUE_TOL:  # NaN fails too
             raise AccuracyError(
                 f"imaginary residue {residues[i]:.2e} at t={times[i]} exceeds "
                 f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 # _prabhakar_scaled is no longer called here; the benchmark's tracer hooks
 # the name in this module, so it stays bound.
-from .special import (DEFAULT_SERIES_CONTROL, SeriesControl,  # noqa: F401
-                      _prabhakar_pairs, _prabhakar_scaled)
+from .special import (_CONSECUTIVE_SMALL, DEFAULT_SERIES_CONTROL,  # noqa: F401
+                      SeriesControl, _prabhakar_pairs, _prabhakar_scaled)
 from .symbols import ScalarProblem
 
 __all__ = [
@@ -206,7 +206,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl,
                 value = total + comp
                 small_run += 1.0
                 small_run *= abs_term < ctl.rel_tol * np.abs(value)
-                done = (small_run >= ctl.consecutive_small) & active
+                done = (small_run >= _CONSECUTIVE_SMALL) & active
                 if not done.any():
                     continue
                 for r in np.flatnonzero(done).tolist():

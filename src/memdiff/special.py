@@ -5,8 +5,8 @@ three-parameter (Prabhakar) Mittag-Leffler family
 
 which is the kernel of the resolvent series.  Terms are assembled in log
 space from ``lgamma`` values and accumulated with Neumaier-compensated
-summation; truncation stops after ``consecutive_small`` successive terms fall
-below ``rel_tol`` times the running sum.
+summation; truncation stops after ``_CONSECUTIVE_SMALL`` successive terms
+fall below ``rel_tol`` times the running sum.
 
 Supported accuracy domain for the series: |z| <= 100 at relative tolerances
 down to 1e-10.  Strongly alternating evaluations that exhaust double
@@ -21,6 +21,10 @@ for error.  ``_prabhakar_scaled`` is the one-pair call.  Every
 transcendental call is libm's, one element at a time (``math.exp``,
 ``math.log``, ``math.lgamma``): numpy's vectorized exp need not round like
 libm's.
+
+The series keeps no state between calls: a call computes the
+log-coefficients of each n as its walk reaches it, from a log-factorial
+table of its own, so no result depends on an earlier call.
 
 ``reg_lower_inc_gamma`` is array-first: a one-point call runs the array
 engine on one element and costs 0.1-0.8 ms, so callers pass whole tables.
@@ -60,22 +64,22 @@ class MLParams:
             raise DomainError(f"k must be a non-negative integer, got {self.k}")
 
 
+# Successive terms below rel_tol times the running sum that stop a series.
+_CONSECUTIVE_SMALL = 3
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy shared by all series evaluations."""
 
     rel_tol: float = 1e-12
     max_terms: int = 2000
-    consecutive_small: int = 3
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_terms < 16:
             raise DomainError(f"max_terms must be >= 16, got {self.max_terms}")
-        if self.consecutive_small < 2:
-            raise DomainError(
-                f"consecutive_small must be >= 2, got {self.consecutive_small}")
 
 
 DEFAULT_SERIES_CONTROL = SeriesControl()
@@ -181,43 +185,18 @@ def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-# Log-coefficient cache for the scaled series: key (mu, k), value a list of
-#   lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),  n = 0, 1, ...
-# grown in chunks as evaluations reach them.  A grown list replaces the old
-# one instead of extending it, so a thread reading or growing a list while
-# another grows it never sees a misplaced coefficient.  The cache holds at
-# most _COEFF_CACHE_KEYS keys; a new key past that evicts the oldest.
-_COEFF_CACHE: dict[tuple[float, int], list[float]] = {}
-_COEFF_CACHE_KEYS = 1024
-_CHUNK = 64
+def _log_coeffs(mu: float, kvals: list[int], n: int,
+                log_fact: list[float]) -> np.ndarray:
+    """Coefficient n of the series for each k of ``kvals``,
 
-# ln m! = lgamma(m + 1.0), m = 0, 1, ..., filled on demand.  The first two
-# terms of a coefficient are log-factorials that do not depend on mu, so
-# every mu reads them from here and only the third lgamma is computed per
-# coefficient; the values and the subtraction order are those of three
-# lgamma calls.
-_LOG_FACTORIAL_CACHE: list[float] = []
+        lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),
 
-
-def _log_coeffs(mu: float, k: int, n_needed: int) -> list[float]:
-    """The cached coefficient list of (mu, k), holding at least index
-    ``n_needed``."""
-    key = (mu, k)
-    coeffs = _COEFF_CACHE.get(key, [])
-    if len(coeffs) <= n_needed:
-        step = mu + 1.0
-        stop = (n_needed // _CHUNK + 1) * _CHUNK
-        log_fact = _LOG_FACTORIAL_CACHE
-        log_fact.extend(math.lgamma(m + 1.0)
-                        for m in range(len(log_fact), k + stop))
-        coeffs = coeffs + [
-            log_fact[k + n] - log_fact[n] - math.lgamma(n * step + k + 1.0)
-            for n in range(len(coeffs), stop)
-        ]
-        if key not in _COEFF_CACHE and len(_COEFF_CACHE) >= _COEFF_CACHE_KEYS:
-            _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)), None)
-        _COEFF_CACHE[key] = coeffs
-    return coeffs
+    where ``log_fact[m]`` is lgamma(m + 1.0) up to m = max(kvals) + n.  The
+    first two terms are read from that table; the values and the subtraction
+    order are those of three lgamma calls."""
+    nm = n * (mu + 1.0)
+    return np.array([log_fact[k + n] - log_fact[n] - math.lgamma(nm + k + 1.0)
+                     for k in kvals])
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -237,7 +216,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     the pairs and a dict {pair index: ConvergenceError} of the pairs that
     failed, whose array entries are meaningless.  All pairs step through n
     together; each pair runs the arithmetic of its own sequential walk
-    (Neumaier sum, ``consecutive_small`` stopping rule, error estimate), in
+    (Neumaier sum, ``_CONSECUTIVE_SMALL`` stopping rule, error estimate), in
     the same operation order, and is dropped when it converges or fails, so
     its results and its error are those of a call on that pair alone.
     """
@@ -259,9 +238,9 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     state = np.zeros((5, idx.size))
     state[0] = _libm(math.log, np.abs(zs[idx]))
     ln_abs_z, total, comp, abs_sum, small_run = state
-    # table[n, r] is coefficient n of k = kvals[r]
-    table = np.array([_log_coeffs(mu, k, 0)[:_CHUNK]
-                      for k in kvals.tolist()]).T.copy()
+    klist = kvals.tolist()
+    # ln m! for m = 0..max(k) + n, one entry appended per term
+    log_fact = [math.lgamma(m + 1.0) for m in range(klist[-1] + 1)]
 
     def fail(i: int, message: str, **info) -> None:
         failures[int(idx[i])] = ConvergenceError(message.format(
@@ -270,13 +249,9 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
         for n in range(ctl.max_terms):
-            if n == table.shape[0]:
-                grown = np.full((_CHUNK, kvals.size), np.nan)
-                live_rows = np.bincount(rows, minlength=kvals.size)
-                for r in np.flatnonzero(live_rows).tolist():
-                    grown[:, r] = _log_coeffs(mu, int(kvals[r]), n)[n:n + _CHUNK]
-                table = np.concatenate([table, grown])
-            log_term = table[n][rows] + n * ln_abs_z
+            if n:
+                log_fact.append(math.lgamma(klist[-1] + n + 1.0))
+            log_term = _log_coeffs(mu, klist, n, log_fact)[rows] + n * ln_abs_z
             over = log_term > 700.0
             if over.any():
                 for i in np.flatnonzero(over).tolist():
@@ -302,7 +277,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
             value = total + comp
             small_run += 1.0
             small_run *= abs_term < ctl.rel_tol * np.abs(value)
-            done = small_run >= ctl.consecutive_small
+            done = small_run >= _CONSECUTIVE_SMALL
             if done.any():
                 # Error estimate calibrated against 50-digit references over
                 # a 400-case stress grid: the true error stays below

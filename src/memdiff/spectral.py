@@ -117,7 +117,6 @@ def field(model: SpectralModel, params: KernelParams, t: float, x_grid,
 def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
                         method: str | CurveMethod = CurveMethod.SERIES,
                         ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-                        boundary_tol: float = 0.1,
                         dt: float | None = None) -> Curve:
     """Pointwise sup over modes of |S_n(t)|, exact for this diagonal family.
 
@@ -127,7 +126,7 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     than ``dt``.  The series route ignores ``dt``.
 
     Raises :class:`TruncationError` when the sup rests on the last retained
-    mode for more than ``boundary_tol`` of the stepping grid (the truncation
+    mode for more than 10% of the stepping grid (the truncation
     is then suspect and n_modes should grow).
     """
     method = CurveMethod(method)
@@ -138,9 +137,11 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
             cfg, per_cell = volterra_grid(times, dt)
             stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
         except MemdiffError as exc:
-            # The grid and the kernel table are shared by all modes, so the
-            # first mode is the one that fails first.
-            raise ModeError(f"mode 1: {exc}", mode_index=1) from exc
+            # A solution that is not finite names its row; the grid, the
+            # step and the kernel table are shared by all modes, so any
+            # other failure is the first mode's.
+            n = getattr(exc, "row", 0) + 1
+            raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
         grid = times
     else:
         curves = [mode_curve(model, params, n, times, method, ctl)
@@ -150,7 +151,7 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     argmax = np.argmax(stacked, axis=0)
     if model.n_modes > 1:
         boundary_frac = float(np.mean(argmax == model.n_modes - 1))
-        if boundary_frac > boundary_tol:
+        if boundary_frac > 0.1:
             raise TruncationError(
                 f"the norm rests on the last retained mode over "
                 f"{boundary_frac:.0%} of the grid; increase n_modes")

@@ -186,11 +186,10 @@ def fit_decay_rate(curve: Curve, tail_fraction: float = 0.5) -> RateFit:
 
 
 def verify_bound(curve: Curve, bound: DecayBound,
-                 doubled: Curve | None = None,
-                 value_floor: float = 1e-12) -> BoundCheck:
+                 doubled: Curve | None = None) -> BoundCheck:
     """Smallest C with |values| <= C (1 + poly t^p) e^{rate t} on the grid.
 
-    Samples below ``value_floor`` times the curve's sup norm are ignored:
+    Samples below 1e-12 times the curve's sup norm are ignored:
     they sit at or below the solver's roundoff floor, where the ratio
     against a decaying envelope measures noise, not the solution.  With a
     ``doubled``-horizon curve, ``holds`` additionally requires C to grow
@@ -199,7 +198,7 @@ def verify_bound(curve: Curve, bound: DecayBound,
 
     def c_min_of(c: Curve) -> float:
         v = np.abs(c.values)
-        keep = v > value_floor * v.max()
+        keep = v > 1e-12 * v.max()
         env = (1.0 + bound.poly_coeff * c.times[keep] ** bound.poly_power) \
             * np.exp(bound.rate * c.times[keep])
         return float(np.max(v[keep] / env))

@@ -130,10 +130,13 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
                 u[:, i] = (1.0 + rho_dt * hist) / denom
     finite = np.isfinite(u)
     if not finite.all():
-        r, i = np.argwhere(~finite)[0]
-        raise AccuracyError(
+        # The earliest failing step, the lowest row on a tie.
+        i, r = np.argwhere(~finite.T)[0]
+        error = AccuracyError(
             f"Volterra solution is not finite for rho={float(rhos[r])!r} "
             f"from t={i * dt:.6g} on")
+        error.row = int(r)
+        raise error
     return u
 
 
@@ -168,7 +171,10 @@ def solve_volterra_batch(params: KernelParams, rhos,
     (len(rhos), n_steps + 1), from one kernel table.
 
     Row r equals ``solve_volterra(ScalarProblem(params, rhos[r]), cfg)``
-    bit for bit; ``cfg.richardson`` is not applied.
+    bit for bit; ``cfg.richardson`` is not applied.  A solution that is not
+    finite raises :class:`~memdiff.errors.AccuracyError` for the row that
+    fails at the earliest step (the lowest such row on a tie), and its
+    ``row`` attribute is that row's index.
     """
     return _solve_grid(params, cfg.dt, cfg.n_steps, rhos)
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import memdiff
 from memdiff import (ConvergenceError, KernelParams, ScalarProblem,
                      series_S)
 from memdiff.cli import main
@@ -29,8 +30,12 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def run_cli_process(*args: str, env_extra: dict | None = None
                     ) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, for what one process cannot show."""
+    """The CLI in a fresh interpreter, for what one process cannot show.
+    The child imports the memdiff that this process imported."""
     env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(memdiff.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     cmd = [sys.executable, "-m", "memdiff.cli", *args]
@@ -155,6 +160,16 @@ class TestScalarCurve:
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert "rho=50.0" in cp.stderr and "t=" in cp.stderr
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_contour_sum_exits_2(self):
+        cp = run_cli("scalar-curve", "-a", "1", "-b", "0.5", "-m", "0.5",
+                     "-r", "-400", "--tmax", "2", "--points", "3",
+                     "--method", "laplace")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == ("memdiff: contour sum is not finite at t=1.0; "
+                             "the inversion is not trustworthy\n")
 
 
 class TestNormCurve:

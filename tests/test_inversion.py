@@ -203,6 +203,13 @@ class TestInvertSCurve:
             "inversion is not trustworthy")
         assert rows == [1]  # S_hat never saw the guarded rows
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sum_raises_without_warnings(self):
+        # the radius 2(|rho| + beta) = 801 overflows e^{lam t}: value and
+        # residue are NaN, and NaN >= IM_RESIDUE_TOL is false
+        with pytest.raises(AccuracyError, match=r"not finite at t=1\.0;"):
+            invert_S_curve(problem(1.0, 0.5, 0.5, -400.0), [0.0, 1.0, 2.0])
+
     def test_earlier_guard_wins_over_a_later_residue_failure(self,
                                                               monkeypatch):
         prob = problem(1.0, 0.5, 0.5, -16.0)

@@ -204,3 +204,16 @@ class TestBatchedNormCurve:
                                 [0.0, 0.5, 1.0], method="volterra")
         assert info.value.mode_index == 1
         assert "mode 1" in str(info.value)
+
+    def test_failure_names_the_mode_that_fails_first(self):
+        # mode 3 (rho = -9) goes non-finite from t = 110.2, mode 2 (rho = -4)
+        # only from t = 154.1
+        with pytest.raises(ModeError) as info:
+            operator_norm_curve(make_model(n_modes=3),
+                                KernelParams(-5.0, 0.0, 0.5),
+                                np.linspace(0.0, 200.0, 11),
+                                method="volterra", dt=0.1)
+        assert info.value.mode_index == 3
+        assert str(info.value).startswith(
+            "mode 3: Volterra solution is not finite for rho=-9.0 from "
+            "t=110.2 on")

@@ -110,6 +110,15 @@ class TestSolveVolterra:
             solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 50.0],
                                  VolterraConfig(0.0025, 8000))
 
+    def test_earliest_failing_step_names_the_row(self):
+        # rho = -9 overflows from t = 110.2, rho = -4 only from t = 154.1;
+        # rows 1 and 2 tie, and the lower one is reported
+        with pytest.raises(AccuracyError,
+                           match=r"rho=-9\.0 from t=110\.2 on") as info:
+            solve_volterra_batch(KernelParams(-5.0, 0.0, 0.5),
+                                 [-4.0, -9.0, -9.0], VolterraConfig(0.1, 2000))
+        assert info.value.row == 1
+
 
 class TestEquationConsistency:
     """Discrete solutions satisfy the differential form of the equation.
