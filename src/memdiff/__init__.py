@@ -21,16 +21,15 @@ from .inversion import (InversionConfig, forward_transform, invert_S,
 from .resolvent import (Curve, CurveMethod, Mu1Case, Mu1Classification,
                         mu1_classify, mu1_closed_form, series_S, series_curve)
 from .special import (DEFAULT_SERIES_CONTROL, MLParams, SeriesControl,
-                      log_gamma, prabhakar_ml, reg_lower_inc_gamma)
+                      prabhakar_ml, reg_lower_inc_gamma)
 from .spectral import (SpectralModel, eigen_pairs, field, mode_curve,
                        operator_norm_curve)
 from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         RateFit, Regime, RegimeClass, classify,
                         fit_decay_rate, lemma_property_suite,
                         theoretical_bound, verify_bound)
-from .symbols import (KernelParams, ScalarProblem, laplace_G_hat,
-                      laplace_S_hat, laplace_S_hat_den, symbol_g, symbol_h,
-                      symbol_h_tilde)
+from .symbols import (KernelParams, ScalarProblem, laplace_S_hat,
+                      laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
 from .volterra import (VolterraConfig, kernel_a, solve_volterra,
                        solve_volterra_batch, solve_volterra_on_grid,
                        volterra_grid)
@@ -47,8 +46,8 @@ __all__ = [
     "StepSizeError", "TruncationError", "VolterraConfig", "classify",
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
-    "laplace_G_hat", "laplace_S_hat", "laplace_S_hat_den",
-    "lemma_property_suite", "log_gamma", "mode_curve", "mu1_classify",
+    "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
+    "mode_curve", "mu1_classify",
     "mu1_closed_form", "operator_norm_curve", "prabhakar_ml",
     "reg_lower_inc_gamma", "series_S", "series_curve", "solve_volterra",
     "solve_volterra_batch", "solve_volterra_on_grid", "symbol_g", "symbol_h",

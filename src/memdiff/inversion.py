@@ -9,14 +9,16 @@ towards theta = +-pi, so the rule converges geometrically in the node count.
 The contour radius balances discretization against the e^r roundoff
 amplification:
 
-    r = max(contour_scale, min(n_nodes / 5, 16)).
+    r = max(floor, min(n_nodes / 5, 16)).
 
-``contour_scale`` only matters when poles demand a wider contour than
-accuracy alone would pick; for the scalar resolvent the default
-max(1, 2(|rho| + beta)) keeps the symbol's poles and its branch cut
-(-inf, -beta] strictly inside.  Because the parametrization is symmetric
-and the transforms are real-symmetric, the imaginary part of the quadrature
-sum is pure noise; its magnitude is the trust diagnostic.
+The floor only matters when poles demand a wider contour than accuracy
+alone would pick.  For the scalar resolvent it is ``_default_scale``,
+max(1, 2(|rho| + beta)), which keeps the symbol's poles and its branch cut
+(-inf, -beta] strictly inside; for a generic transform it is the
+``contour_scale`` argument of ``invert_transform``.  Because the
+parametrization is symmetric and the transforms are real-symmetric, the
+imaginary part of the quadrature sum is pure noise; its magnitude is the
+trust diagnostic.
 
 ``invert_transform`` is the one quadrature routine: it calls its transform
 once, array in and array out, on all contour nodes.  A vector of T times
@@ -59,24 +61,15 @@ _NODE_POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Contour quadrature knobs.
-
-    ``n_nodes`` is the accuracy knob (even, 16..256; accuracy saturates
-    around 1e-10 past ~96 nodes).  ``contour_scale=None`` lets the problem
-    pick its pole-safe default.
-    """
+    """Contour quadrature knob: ``n_nodes`` (even, 16..256; accuracy
+    saturates around 1e-10 past ~96 nodes)."""
 
     n_nodes: int = 64
-    contour_scale: float | None = None
 
     def __post_init__(self) -> None:
         if not (16 <= self.n_nodes <= 256) or self.n_nodes % 2:
             raise DomainError(
                 f"n_nodes must be even and in [16, 256], got {self.n_nodes}")
-        if self.contour_scale is not None and not (
-                math.isfinite(self.contour_scale) and self.contour_scale > 0.0):
-            raise DomainError(
-                f"contour_scale must be > 0, got {self.contour_scale}")
 
 
 DEFAULT_INVERSION_CONFIG = InversionConfig()
@@ -111,8 +104,7 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
     bad = times[~(np.isfinite(times) & (times > 0.0))]
     if bad.size:
         raise DomainError(f"inversion requires t > 0, got {float(bad[0])}")
-    scale = cfg.contour_scale if cfg.contour_scale is not None else contour_scale
-    radius = max(scale, min(cfg.n_nodes / 5.0, 16.0))
+    radius = max(contour_scale, min(cfg.n_nodes / 5.0, 16.0))
     lam, weights = _contour(times, cfg.n_nodes, radius)
     vals = np.asarray(transform(lam), dtype=np.complex128)
     # An overflowing sum is reported through its non-finite value.
@@ -165,7 +157,7 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
     if guarded < len(times):
         raise ContourError(
             f"contour node within {_NODE_POLE_TOL} of a pole at "
-            f"t={times[guarded]}; increase contour_scale")
+            f"t={times[guarded]}")
     return values
 
 

@@ -55,7 +55,6 @@ class CurveMethod(str, enum.Enum):
     SERIES = "series"
     VOLTERRA = "volterra"
     LAPLACE = "laplace"
-    CLOSED_FORM_MU1 = "closed-form-mu1"
 
 
 @dataclass

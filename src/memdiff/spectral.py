@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, MemdiffError, ModeError, TruncationError
 from .resolvent import Curve, CurveMethod, series_S, series_curve
-from .special import DEFAULT_SERIES_CONTROL, SeriesControl
 from .symbols import KernelParams, ScalarProblem
 from .volterra import solve_volterra, solve_volterra_batch, volterra_grid
 
@@ -74,8 +73,7 @@ def eigen_pairs(model: SpectralModel) -> list[tuple[float, Callable]]:
 
 
 def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
-               method: str | CurveMethod = CurveMethod.SERIES,
-               ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> Curve:
+               method: str | CurveMethod = CurveMethod.SERIES) -> Curve:
     """Resolvent curve of mode n: exactly the scalar route at rho = -lambda_n.
 
     For the Volterra route the grid must be uniform from 0 (it becomes the
@@ -85,7 +83,7 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
     method = CurveMethod(method)
     try:
         if method is CurveMethod.SERIES:
-            return series_curve(prob, times, ctl)
+            return series_curve(prob, times)
         if method is CurveMethod.VOLTERRA:
             return solve_volterra(prob, volterra_grid(times)[0])
         raise DomainError(f"unsupported mode-curve method {method!r}")
@@ -95,8 +93,8 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
         raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
 
 
-def field(model: SpectralModel, params: KernelParams, t: float, x_grid,
-          ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> np.ndarray:
+def field(model: SpectralModel, params: KernelParams, t: float,
+          x_grid) -> np.ndarray:
     """u(t, x) = sum_n S_n(t) <u0, phi_n> phi_n(x) over the retained modes."""
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > model.length):
@@ -107,7 +105,7 @@ def field(model: SpectralModel, params: KernelParams, t: float, x_grid,
         if coeff == 0.0:
             continue
         try:
-            s_n = series_S(ScalarProblem(params, -lam_n), t, ctl)
+            s_n = series_S(ScalarProblem(params, -lam_n), t)
         except MemdiffError as exc:
             raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
         out += s_n * coeff * phi(x)
@@ -116,7 +114,6 @@ def field(model: SpectralModel, params: KernelParams, t: float, x_grid,
 
 def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
                         method: str | CurveMethod = CurveMethod.SERIES,
-                        ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
                         dt: float | None = None) -> Curve:
     """Pointwise sup over modes of |S_n(t)|, exact for this diagonal family.
 
@@ -144,7 +141,7 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
             raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
         grid = times
     else:
-        curves = [mode_curve(model, params, n, times, method, ctl)
+        curves = [mode_curve(model, params, n, times, method)
                   for n in range(1, model.n_modes + 1)]
         stacked = np.vstack([np.abs(c.values) for c in curves])
         grid = curves[0].times

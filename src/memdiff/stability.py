@@ -86,9 +86,9 @@ class Regime:
 
 @dataclass(frozen=True)
 class DecayBound:
-    """Envelope C (1 + poly_coeff t^poly_power) e^{rate t}."""
+    """Envelope (1 + poly_coeff t^poly_power) e^{rate t}, up to the constant
+    C that :func:`verify_bound` measures."""
 
-    C: float
     rate: float
     poly_coeff: float
     poly_power: float
@@ -126,7 +126,7 @@ def classify(params: KernelParams, omega: float) -> Regime:
     return Regime(cls, omega, bpo, decay_applicable=(omega < 0.0 and bpo <= 0.0))
 
 
-def theoretical_bound(params: KernelParams, omega: float, C: float = 1.0) -> DecayBound:
+def theoretical_bound(params: KernelParams, omega: float) -> DecayBound:
     """Decay envelope implied by the regime; requires a supported regime with
     the decay hypotheses satisfied."""
     regime = classify(params, omega)
@@ -139,11 +139,11 @@ def theoretical_bound(params: KernelParams, omega: float, C: float = 1.0) -> Dec
             f"decay estimates need omega < 0 and beta + omega <= 0; got "
             f"omega={omega}, beta+omega={regime.beta_plus_omega}")
     if regime.regime_class is RegimeClass.POSITIVE_ALPHA:
-        return DecayBound(C, rate=-params.beta, poly_coeff=0.0, poly_power=0.0,
+        return DecayBound(rate=-params.beta, poly_coeff=0.0, poly_power=0.0,
                           uniformly_stable=params.beta > 0.0)
     aw = params.alpha * omega  # > 0 here
     rate = -(params.beta - aw ** (1.0 / (params.mu + 1.0)))
-    return DecayBound(C, rate=rate, poly_coeff=aw, poly_power=params.mu + 1.0,
+    return DecayBound(rate=rate, poly_coeff=aw, poly_power=params.mu + 1.0,
                       uniformly_stable=params.beta ** (params.mu + 1.0) > aw)
 
 
@@ -266,13 +266,10 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     so reports are reproducible and the sampling may be split freely.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
-    if alpha > 0.0:
-        g_cap = 1.0
-    elif alpha < 0.0 and alpha + beta ** mu >= abs(alpha):
-        g_cap = beta ** mu / (alpha + beta ** mu)
-    else:
+    if not classify(params, 0.0).supported:
         raise HypothesisError(
             f"unsupported regime: alpha={alpha}, beta={beta}, mu={mu}")
+    g_cap = 1.0 if alpha > 0.0 else beta ** mu / (alpha + beta ** mu)
 
     rng = np.random.Generator(np.random.Philox(seed))
     lam = _sample_right_half(rng, n_samples)

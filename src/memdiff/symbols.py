@@ -8,14 +8,13 @@ and the symbols evaluated here are
     h(lam)      = lam * g(lam)                       (= 1 / a_hat)
     h_tilde(lam)= (lam-beta) lam^mu / (lam^mu + alpha)   (= h(lam - beta))
 
-together with the closed-form transforms of the scalar resolvent,
+together with the closed-form transform of the scalar resolvent,
 
     S_hat(lam) = (lam+beta)^mu / ((lam+beta)^{mu+1}
-                  - (rho+beta)(lam+beta)^mu - alpha rho)
-    G_hat(lam) = S_hat(lam - beta)   (transform of e^{beta t} S(t)).
+                  - (rho+beta)(lam+beta)^mu - alpha rho).
 
 All powers use the principal branch.  Functions accept complex scalars or
-numpy arrays and return matching shapes.  The S_hat forms name every
+numpy arrays and return matching shapes.  The S_hat form names every
 operand of a complex product: numpy computes ``a * (b - c)`` in place in
 the temporary ``b - c`` once it reaches 256 KiB, and its in-place complex
 product rounds differently, so an unnamed operand would make a large node
@@ -39,7 +38,6 @@ __all__ = [
     "symbol_h_tilde",
     "laplace_S_hat",
     "laplace_S_hat_den",
-    "laplace_G_hat",
 ]
 
 _POLE_TOL = 1e-300
@@ -130,14 +128,20 @@ def symbol_h_tilde(params: KernelParams, lam):
     return _maybe_scalar((z - params.beta) * w / den, lam)
 
 
-def laplace_S_hat_den(prob: ScalarProblem, lam):
-    """Denominator of S_hat; exposed so contour quadrature can check pole
-    proximity at its nodes."""
+def _S_hat_parts(prob: ScalarProblem, lam):
+    """``(w, den)`` with S_hat = w / den: w = (lam+beta)^mu and
+    den = w (lam - rho) - alpha rho."""
     z = _as_complex(lam)
     p = prob.params
     w = (z + p.beta) ** p.mu
     shifted = z - prob.rho
-    return _maybe_scalar(w * shifted - p.alpha * prob.rho, lam)
+    return w, w * shifted - p.alpha * prob.rho
+
+
+def laplace_S_hat_den(prob: ScalarProblem, lam):
+    """Denominator of S_hat; exposed so contour quadrature can check pole
+    proximity at its nodes."""
+    return _maybe_scalar(_S_hat_parts(prob, lam)[1], lam)
 
 
 def laplace_S_hat(prob: ScalarProblem, lam):
@@ -147,21 +151,6 @@ def laplace_S_hat(prob: ScalarProblem, lam):
     direct form used here is analytic off the branch cut
     (-inf, -beta] and the symbol's poles.
     """
-    z = _as_complex(lam)
-    p = prob.params
-    w = (z + p.beta) ** p.mu
-    shifted = z - prob.rho
-    den = w * shifted - p.alpha * prob.rho
-    _guard_pole(den)
-    return _maybe_scalar(w / den, lam)
-
-
-def laplace_G_hat(prob: ScalarProblem, lam):
-    """Laplace transform of e^{beta t} S(t); satisfies G_hat(lam + beta) =
-    S_hat(lam)."""
-    z = _as_complex(lam)
-    p = prob.params
-    w = z ** p.mu
-    den = w * (z - (prob.rho + p.beta)) - p.alpha * prob.rho
+    w, den = _S_hat_parts(prob, lam)
     _guard_pole(den)
     return _maybe_scalar(w / den, lam)

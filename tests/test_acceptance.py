@@ -248,8 +248,8 @@ def test_criterion_7_spectral_consistency():
     norm20 = operator_norm_curve(model, params, grid, method="volterra")
     grid40 = np.arange(0.0, 8001.0) * 0.005
     norm40 = operator_norm_curve(model, params, grid40, method="volterra")
-    bound = DecayBound(C=1.0, rate=-params.beta, poly_coeff=0.0,
-                       poly_power=0.0, uniformly_stable=True)
+    bound = DecayBound(rate=-params.beta, poly_coeff=0.0, poly_power=0.0,
+                       uniformly_stable=True)
     check = verify_bound(norm20, bound, doubled=norm40)
     assert check.holds
     growth = (check.c_min_doubled - check.c_min) / check.c_min

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from memdiff import (ConvergenceError, Curve, CurveMethod, DomainError,
-                     Mu1Case, VolterraConfig, laplace_G_hat,
-                     invert_transform, mu1_classify, mu1_closed_form,
+                     Mu1Case, VolterraConfig, invert_transform,
+                     laplace_S_hat, mu1_classify, mu1_closed_form,
                      series_S, series_curve, solve_volterra)
 from memdiff.resolvent import _series_grid
 from memdiff.special import DEFAULT_SERIES_CONTROL
@@ -255,12 +255,12 @@ class TestMu1ClosedForm:
 
 class TestDampingRelation:
     def test_series_times_exponential_matches_inverse_of_G(self):
-        # e^{beta t} S(t) inverts the beta-shifted transform
+        # e^{beta t} S(t) inverts G_hat(lam) = S_hat(lam - beta)
         prob = problem(1.0, 1.0, 0.5, -1.0)
         for t in (0.5, 1.5, 3.0):
             lifted = math.exp(prob.params.beta * t) * series_S(prob, t)
             inverted, resid = invert_transform(
-                lambda lam: laplace_G_hat(prob, lam), t,
+                lambda lam: laplace_S_hat(prob, lam - prob.params.beta), t,
                 contour_scale=2.0 * (abs(prob.rho) + prob.params.beta))
             assert resid < 1e-8
             assert lifted == pytest.approx(inverted, abs=1e-6)

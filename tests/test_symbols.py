@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from memdiff import (DomainError, KernelParams, ScalarProblem,
-                     SingularityError, laplace_G_hat, laplace_S_hat,
-                     laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
+                     SingularityError, laplace_S_hat, laplace_S_hat_den,
+                     symbol_g, symbol_h, symbol_h_tilde)
 from conftest import problem
 
 
@@ -110,7 +110,6 @@ class TestLaplaceTransforms:
         prob = problem(0.5, 1.0, 0.6, -2.0)
         lam = 1e8 + 0j
         assert abs(lam * laplace_S_hat(prob, lam) - 1.0) < 1e-6
-        assert abs(lam * laplace_G_hat(prob, lam) - 1.0) < 1e-6
 
     def test_degenerate_no_memory(self):
         prob = problem(0.0, 1.0, 0.5, -2.0)
@@ -126,22 +125,8 @@ class TestLaplaceTransforms:
             symbol_h(prob.params, lam) - prob.rho)
         assert np.max(np.abs(direct - via_symbols) / np.abs(direct)) < 1e-12
 
-    def test_shift_identity(self):
-        prob = problem(-0.15, 1.2, 0.5, -0.8)
-        rng = np.random.Generator(np.random.Philox(12))
-        lam = (1.0 + 10.0 ** rng.uniform(-2, 2, 1000)) + 1j * rng.normal(0, 10, 1000)
-        s = laplace_S_hat(prob, lam)
-        g = laplace_G_hat(prob, lam + prob.params.beta)
-        assert np.max(np.abs(s - g) / np.abs(s)) < 1e-12
-
-    def test_mu1_double_root_rational_form(self, double_root_problem):
-        # G_hat(lam) = lam / (lam - 1)^2
-        for lam in (3.0 + 0j, 2.0 + 2j):
-            expected = lam / (lam - 1.0) ** 2
-            assert laplace_G_hat(double_root_problem, lam) == pytest.approx(expected)
-
     def test_pole_raises(self, double_root_problem):
-        # G_hat pole at lam = 1 shifts to S_hat pole at lam = -2
+        # the double pole of S_hat sits at lam = -2
         with pytest.raises(SingularityError):
             laplace_S_hat(double_root_problem, -2.0 + 0j)
         assert laplace_S_hat_den(double_root_problem, -2.0 + 0j) == pytest.approx(0.0)
