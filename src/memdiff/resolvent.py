@@ -11,15 +11,17 @@ factor ((rho+beta) t)^k / k!, so neither side overflows; it therefore
 converges (numerically) whenever cancellation does not exhaust double
 precision, which is detected and raised rather than returned.
 
-One grid engine (``_series_grid``) evaluates every time of a grid at once:
-the outer sum runs in blocks of ``_K_BLOCK`` terms over all live times, each
-block one call of the inner engine on its (t, k) pairs, and each time keeps
-the operation order of its own sequential walk over (k, n).  A time fails
-at the first failure of that walk and a k past its stopping index never
-raises, so ``series_S``, the batch of one, equals every point of
-``series_curve`` bit for bit and error for error.  The powers t^{mu+1} and
-the damping e^{-beta t} are computed per time by Python's libm calls, like
-every transcendental call of the inner series.
+One grid engine (``_series_grid``) evaluates every time of a grid at once,
+and every caller takes the same path through it: the outer sum runs in
+blocks of ``_K_BLOCK`` terms over all live times, each block one call of the
+inner engine on its (t, k) pairs, and each time keeps the operation order
+of its own sequential walk over (k, n).  A time fails at the first failure
+of that walk and a k past its stopping index never raises, so ``series_S``,
+the batch of one, equals every point of ``series_curve`` bit for bit and
+error for error.  Every failure is a :class:`ConvergenceError`, an overflow
+of t^{mu+1} included.  The powers t^{mu+1} and the damping e^{-beta t} are
+computed per time by Python's libm calls, like every transcendental call of
+the inner series.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 # _prabhakar_scaled is no longer called here; the benchmark's tracer hooks
 # the name in this module, so it stays bound.
-from .special import (_CONSECUTIVE_SMALL, DEFAULT_SERIES_CONTROL,  # noqa: F401
-                      SeriesControl, _prabhakar_pairs, _prabhakar_scaled)
+from .special import (DEFAULT_SERIES_CONTROL, SeriesControl,  # noqa: F401
+                      _prabhakar_pairs, _prabhakar_scaled, _sum_step)
 from .symbols import ScalarProblem
 
 __all__ = [
@@ -122,21 +124,20 @@ _K_BLOCK = 16
 _DOOMED_BLOCK = 1024
 
 
-def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl,
-                 stop_at_failure: bool) -> tuple[np.ndarray, dict]:
+def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
+                 ) -> tuple[np.ndarray, dict[int, ConvergenceError]]:
     """S at every time of ``grid`` (finite, >= 0) by the series, in one numpy
     pass per block of outer terms.
 
-    Returns the values, NaN where a time failed, and {grid index: error} of
-    the failed times.  Each time runs the arithmetic of its own sequential
-    walk over (k, n) and fails at the first failure of that walk; a k past
-    its stopping index never raises.  With ``stop_at_failure`` the times
-    after the first failure in grid order may be dropped, NaN and without an
-    entry, once that failure is known.
+    Returns the values, NaN where a time failed, and {grid index:
+    ConvergenceError} of the failed times.  Every time is evaluated; each
+    runs the arithmetic of its own sequential walk over (k, n) and fails at
+    the first failure of that walk, so its value or error does not depend on
+    the other times.  A k past a time's stopping index never raises.
     """
     p = prob.params
     values = np.full(grid.size, np.nan)
-    failures: dict[int, Exception] = {}
+    failures: dict[int, ConvergenceError] = {}
     times = grid.tolist()
     live, zs, cs, damps = [], [], [], []
     for i, t in enumerate(times):
@@ -145,10 +146,10 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl,
             continue
         try:
             zs.append(p.alpha * prob.rho * t ** (p.mu + 1.0))
-        except OverflowError as exc:
-            failures[i] = exc
-            if stop_at_failure:
-                break
+        except OverflowError:
+            failures[i] = ConvergenceError(
+                f"t^(mu+1) overflows at t={t} (mu={p.mu})",
+                reason="overflow", last_term=math.inf, n_terms=0)
             continue
         live.append(i)
         cs.append((prob.rho + p.beta) * t)
@@ -197,15 +198,10 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl,
                     if active[r]:
                         failures[int(live[r])] = inner_failures[r * width + j]
                         active[r] = False
-                term, abs_term = terms[:, j], abs_terms[:, j]
-                s = total + term
-                comp += np.where(np.abs(total) >= abs_term,
-                                 (total - s) + term, (term - s) + total)
-                total = s
-                value = total + comp
-                small_run += 1.0
-                small_run *= abs_term < ctl.rel_tol * np.abs(value)
-                done = (small_run >= _CONSECUTIVE_SMALL) & active
+                term = terms[:, j]
+                value, done = _sum_step(total, comp, small_run, term,
+                                        abs_terms[:, j], ctl.rel_tol)
+                done &= active
                 if not done.any():
                     continue
                 for r in np.flatnonzero(done).tolist():
@@ -227,13 +223,6 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl,
                 if not active.any():
                     break
             prefactor, est = prefactors[:, width], ests[:, width - 1]
-            if stop_at_failure:
-                # NaN stays NaN, so a time whose sum is NaN never meets the
-                # small-term test again and is sure to fail: no time after
-                # it, or after a failed one, is needed.
-                sure = live[active & np.isnan(total + comp)][:1].tolist()
-                active &= live <= min([f - 1 for f in failures] + sure,
-                                      default=grid.size)
             live, z, c, damp, prefactor, total, comp, est, small_run, term = (
                 a[active] for a in (live, z, c, damp, prefactor, total, comp,
                                     est, small_run, term))
@@ -256,8 +245,7 @@ def series_S(prob: ScalarProblem, t: float,
     """
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    values, failures = _series_grid(prob, np.array([t], dtype=float), ctl,
-                                    True)
+    values, failures = _series_grid(prob, np.array([t], dtype=float), ctl)
     if failures:
         raise failures[0]
     return float(values[0])
@@ -267,16 +255,15 @@ def series_curve(prob: ScalarProblem, times,
                  ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> Curve:
     """Sample S on a grid starting at t = 0.
 
-    Every value equals :func:`series_S` at its time bit for bit; a failure
-    raises the error of the first failing time, prefixed by ``t=...: ``.
+    Every value equals :func:`series_S` at its time bit for bit.  Every time
+    is evaluated; a failure raises the :class:`ConvergenceError` of the first
+    failing time, prefixed by ``t=...: ``.
     """
     grid = _validate_grid(times)
-    values, failures = _series_grid(prob, grid, ctl, True)
+    values, failures = _series_grid(prob, grid, ctl)
     if failures:
         i = min(failures)
         exc = failures[i]
-        if not isinstance(exc, ConvergenceError):
-            raise exc
         raise ConvergenceError(
             f"t={grid[i]}: {exc}", reason=exc.reason,
             last_term=exc.last_term, n_terms=exc.n_terms) from exc

@@ -186,8 +186,10 @@ def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
     the rounding of the nodes themselves.  Returns ``(cfg, per_cell)`` with
     grid node j at step j * per_cell.  Without ``dt`` the grid is itself the
     stepping grid; with it, each cell is split into the fewest equal steps
-    no longer than ``dt`` (to 1e-9 relative).
+    no longer than ``dt`` (to 1e-9 relative), which must be finite and > 0.
     """
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     grid = np.asarray(grid, dtype=float)
     cells = np.diff(grid)
     if grid.size < 2 or grid[0] != 0.0 or not np.allclose(

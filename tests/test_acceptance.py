@@ -54,7 +54,7 @@ def test_criterion_1_three_way_agreement():
     for prob in GOLDEN_GRID:
         # the per-point exclusions of memdiff verify's series leg
         series_vals, failures = _series_grid(prob, grid,
-                                             DEFAULT_SERIES_CONTROL, False)
+                                             DEFAULT_SERIES_CONTROL)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         ok = np.isfinite(series_vals)
         excluded = 1.0 - float(np.mean(ok))
@@ -96,8 +96,7 @@ def test_criterion_2_mu1_closed_forms():
             beta = rng.uniform(0.0, 2.0)
         rho = -rng.uniform(0.1, 1.0)
         prob = problem(alpha, beta, 1.0, rho)
-        got, failures = _series_grid(prob, tgrid, DEFAULT_SERIES_CONTROL,
-                                     False)
+        got, failures = _series_grid(prob, tgrid, DEFAULT_SERIES_CONTROL)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         for i, t in enumerate(tgrid):
             if i in failures:

@@ -28,21 +28,53 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
                                        err.getvalue())
 
 
-def run_cli_process(*args: str, env_extra: dict | None = None
-                    ) -> subprocess.CompletedProcess:
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, for what one process cannot show.
     The child imports the memdiff that this process imported."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(memdiff.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     cmd = [sys.executable, "-m", "memdiff.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 GOLDEN = ("--alpha", "1", "--beta", "3", "--mu", "1", "--rho", "-1")
+
+
+NORM = ("--alpha", "1", "--beta", "0.5", "--mu", "0.5", "--tmax", "1",
+        "--points", "3")
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (("scalar-curve", *GOLDEN, "--tmax", "0"), 64, "--tmax must be > 0"),
+    (("scalar-curve", *GOLDEN, "--points", "1"), 64, "--points must be >= 2"),
+    (("norm-curve", *NORM, "--modes", "0"), 64, "n_modes must be >= 1"),
+    (("scalar-curve", *GOLDEN, "--method", "volterra", "--dt", "0"), 64,
+     "dt must be finite and > 0"),
+    (("scalar-curve", *GOLDEN, "--method", "volterra", "--dt", "nan"), 64,
+     "dt must be finite and > 0"),
+    (("scalar-curve", *GOLDEN, "--points", "101", "--method", "volterra",
+      "--dt", "-1"), 64, "dt must be finite and > 0"),
+    (("scalar-curve", *GOLDEN, "--method", "volterra", "--dt", "inf"), 64,
+     "dt must be finite and > 0"),
+    # norm-curve charges a failure of the shared stepping to mode 1
+    (("norm-curve", *NORM, "--modes", "2", "--dt", "0"), 2,
+     "mode 1: dt must be finite and > 0"),
+    (("verify", *GOLDEN, "--points", "3", "--dt", "0"), 64,
+     "dt must be finite and > 0"),
+    # t^(mu+1) overflows: a typed ConvergenceError, not an OverflowError
+    (("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
+      "--tmax", "1e300", "--points", "3"), 2, "t=5e+299: "),
+], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
+        "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300"])
+def test_rejected_input_is_one_line_on_stderr(argv, code, prefix):
+    cp = run_cli(*argv)
+    assert cp.returncode == code
+    assert cp.stdout == ""
+    assert cp.stderr.startswith(f"memdiff: {prefix}")
+    assert cp.stderr.count("\n") == 1
+    assert "Traceback" not in cp.stderr
 
 
 class TestEvalML:
@@ -112,22 +144,16 @@ class TestScalarCurve:
         assert np.max(np.abs(outs["series"] - outs["volterra"])) <= 1e-4
         assert np.max(np.abs(outs["series"] - outs["laplace"])) <= 1e-6
 
-    def test_byte_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("kernel", [
+        ("--alpha", "0.5", "--beta", "1", "--mu", "0.3", "--rho", "-2",
+         "--tmax", "3", "--points", "17"),
+        ("--alpha", "1", "--beta", "0", "--mu", "0.8", "--rho", "-1",
+         "--tmax", "3", "--points", "9"),
+    ], ids=["beta1-mu0.3", "beta0-mu0.8"])
+    def test_byte_deterministic(self, tmp_path, kernel):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("scalar-curve", "--alpha", "0.5", "--beta", "1", "--mu", "0.3",
-                "--rho", "-2", "--tmax", "3", "--points", "17")
-        run_cli_process(*args, "--out", str(a))
-        run_cli_process(*args, "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("scalar-curve", "--alpha", "1", "--beta", "0", "--mu", "0.8",
-                "--rho", "-1", "--tmax", "3", "--points", "9")
-        run_cli_process(*args, "--out", str(a),
-                        env_extra={"MEMDIFF_THREADS": "1"})
-        run_cli_process(*args, "--out", str(b),
-                        env_extra={"MEMDIFF_THREADS": "4"})
+        run_cli_process("scalar-curve", *kernel, "--out", str(a))
+        run_cli_process("scalar-curve", *kernel, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):

@@ -1,12 +1,17 @@
-"""Every name that memdiff or one of its modules exports must resolve, so a
-deletion cannot leave a stale entry in an ``__all__``."""
+"""Every name that memdiff or one of its modules exports must resolve, and
+every name a module imports must be used, so a deletion cannot leave a stale
+entry in an ``__all__`` or a stale import behind."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import memdiff
+import memdiff.cli  # noqa: F401  (pkgutil lists it; the tracer hooks it)
+from test_tracing import _load_tracing
 
 _MODULES = ["memdiff"] + [f"memdiff.{info.name}" for info in
                           pkgutil.iter_modules(memdiff.__path__)]
@@ -18,3 +23,28 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def _unused_imports(module) -> list[str]:
+    """Names ``module`` imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(inspect.getsource(module))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(getattr(module, "__all__", []))
+    return sorted(set(imported) - read)
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_imported_name_is_used(name, monkeypatch):
+    """An import is read, exported or a name the benchmark's tracer hooks
+    in this module; anything else is left over from a deletion."""
+    module = importlib.import_module(name)
+    hooked = {attr for owner, attr in
+              _load_tracing(monkeypatch)._hooks(memdiff) if owner is module}
+    assert [n for n in _unused_imports(module) if n not in hooked] == []

@@ -59,6 +59,13 @@ class TestSeriesS:
             series_S(prob, 10.0)
         assert info.value.reason in ("precision", "overflow")
 
+    def test_power_overflow_raises(self):
+        # t^(mu+1) overflows a double before any series term is formed
+        with pytest.raises(ConvergenceError) as info:
+            series_S(problem(1.0, 0.0, 0.5, -1.0), 1e300)
+        assert info.value.reason == "overflow"
+        assert "t=1e+300" in str(info.value)
+
 
 class TestSeriesCurve:
     def test_single_point_grid(self):
@@ -151,8 +158,7 @@ class TestSeriesCurve:
     @given(curve_sweep_cases())
     def test_grid_engine_is_the_batch_of_one(self, case):
         prob, grid = case
-        values, failures = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL,
-                                        False)
+        values, failures = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL)
         for i, t in enumerate(grid):
             try:
                 expected = series_S(prob, float(t))
