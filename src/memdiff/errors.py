@@ -40,7 +40,7 @@ class SingularityError(MemdiffError):
 
 
 class ContourError(MemdiffError):
-    """The inversion contour passes too close to a pole; enlarge the scale."""
+    """The inversion contour passes too close to a pole of the transform."""
 
 
 class StepSizeError(MemdiffError):

@@ -15,13 +15,15 @@ One grid engine (``_series_grid``) evaluates every time of a grid at once,
 and every caller takes the same path through it: the outer sum runs in
 blocks of ``_K_BLOCK`` terms over all live times, each block one call of the
 inner engine on its (t, k) pairs, and each time keeps the operation order
-of its own sequential walk over (k, n).  A time fails at the first failure
-of that walk and a k past its stopping index never raises, so ``series_S``,
-the batch of one, equals every point of ``series_curve`` bit for bit and
-error for error.  Every failure is a :class:`ConvergenceError`, an overflow
-of t^{mu+1} included.  The powers t^{mu+1} and the damping e^{-beta t} are
-computed per time by Python's libm calls, like every transcendental call of
-the inner series.
+of its own sequential walk over (k, n).  A time fails at its first outer
+term that is not finite, since its sum can then never stop: with the inner
+series' error if that failed there (its value is NaN), with reason
+``"overflow"`` otherwise.  A k past a time's stopping index never raises,
+so ``series_S``, the batch of one, equals every point of ``series_curve``
+bit for bit and error for error.  Every failure is a
+:class:`ConvergenceError`, an overflow of t^{mu+1} included.  The powers
+t^{mu+1} and the damping e^{-beta t} are computed per time by Python's libm
+calls, like every transcendental call of the inner series.
 """
 
 from __future__ import annotations
@@ -103,11 +105,13 @@ class Mu1Classification:
 
 
 def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
-    """``times`` as a non-empty, strictly increasing 1-D float array that
-    starts at t = 0 when ``from_zero``."""
+    """``times`` as a non-empty, finite, strictly increasing 1-D float array
+    that starts at t = 0 when ``from_zero``."""
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("time grid must be a non-empty 1-D array")
+    if not np.isfinite(grid).all():
+        raise DomainError("time grid must be finite")
     if from_zero and grid[0] != 0.0:
         raise DomainError("time grid must start at t = 0")
     if np.any(np.diff(grid) <= 0.0):
@@ -117,11 +121,8 @@ def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
 
 # Outer terms k per pass over the grid.  A pass is one call of the inner
 # engine on every (live time, k) pair of the block; a time that stops inside
-# a block wastes at most _K_BLOCK - 1 inner evaluations.  Once every live
-# time's compensated sum is NaN, no time can stop before max_terms, each
-# needs every k up to its first failure, and passes take _DOOMED_BLOCK.
+# a block wastes at most _K_BLOCK - 1 inner evaluations.
 _K_BLOCK = 16
-_DOOMED_BLOCK = 1024
 
 
 def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
@@ -131,9 +132,11 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
 
     Returns the values, NaN where a time failed, and {grid index:
     ConvergenceError} of the failed times.  Every time is evaluated; each
-    runs the arithmetic of its own sequential walk over (k, n) and fails at
-    the first failure of that walk, so its value or error does not depend on
-    the other times.  A k past a time's stopping index never raises.
+    runs the arithmetic of its own sequential walk over (k, n), so its value
+    or error does not depend on the other times.  A walk fails at its first
+    term that is not finite: with the inner error if the inner series failed
+    there, with reason ``"overflow"`` otherwise.  A k past a time's stopping
+    index never raises.
     """
     p = prob.params
     values = np.full(grid.size, np.nan)
@@ -167,17 +170,12 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
     with np.errstate(all="ignore"):
         k0 = 0
         while live.size and k0 < ctl.max_terms:
-            doomed = np.isnan(total + comp).all()
-            ks = np.arange(k0, min(k0 + (_DOOMED_BLOCK if doomed else _K_BLOCK),
-                                   ctl.max_terms))
+            ks = np.arange(k0, min(k0 + _K_BLOCK, ctl.max_terms))
             k0 += ks.size
             width = ks.size
             scaled, scaled_est, _, inner_failures = _prabhakar_pairs(
                 p.mu, np.tile(ks, live.size), np.repeat(z, width), ctl)
             scaled = scaled.reshape(live.size, width)
-            failed_at: dict[int, list[int]] = {}  # k index -> rows
-            for pair in inner_failures:
-                failed_at.setdefault(pair % width, []).append(pair // width)
             # The prefactor and the error estimate follow their sequential
             # recurrences along each row: cumprod and cumsum multiply and
             # add in k order.
@@ -194,11 +192,15 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
             ests = np.cumsum(steps, axis=1)[:, 1:]
             active = np.ones(live.size, dtype=bool)
             for j, k in enumerate(ks.tolist()):
-                for r in failed_at.get(j, ()):
-                    if active[r]:
-                        failures[int(live[r])] = inner_failures[r * width + j]
-                        active[r] = False
                 term = terms[:, j]
+                # A sum that takes a term that is not finite can never stop.
+                for r in np.flatnonzero(active & ~np.isfinite(term)).tolist():
+                    active[r] = False
+                    i = int(live[r])
+                    failures[i] = inner_failures.get(r * width + j) or (
+                        ConvergenceError(f"resolvent series term {k} overflows"
+                                         f" at t={times[i]}", reason="overflow",
+                                         last_term=math.inf, n_terms=k + 1))
                 value, done = _sum_step(total, comp, small_run, term,
                                         abs_terms[:, j], ctl.rel_tol)
                 done &= active

@@ -226,11 +226,11 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
 
     Returns ``(values, err_estimates, n_terms, failures)``: three arrays over
     the pairs and a dict {pair index: ConvergenceError} of the pairs that
-    failed, whose array entries are meaningless.  All pairs step through n
-    together; each pair runs the arithmetic of its own sequential walk
-    (Neumaier sum, ``_CONSECUTIVE_SMALL`` stopping rule, error estimate), in
-    the same operation order, and is dropped when it converges or fails, so
-    its results and its error are those of a call on that pair alone.
+    failed, whose values are NaN.  All pairs step through n together; each
+    pair runs the arithmetic of its own sequential walk (Neumaier sum,
+    ``_CONSECUTIVE_SMALL`` stopping rule, error estimate), in the same
+    operation order, and is dropped when it converges or fails, so its
+    results and its error are those of a call on that pair alone.
     """
     size = zs.size
     values = np.ones(size)
@@ -255,6 +255,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     log_fact = [math.lgamma(m + 1.0) for m in range(klist[-1] + 1)]
 
     def fail(i: int, message: str, **info) -> None:
+        values[idx[i]] = math.nan
         failures[int(idx[i])] = ConvergenceError(message.format(
             z=float(zs[idx[i]]), mu=mu, k=int(kvals[rows[i]])), **info)
 
@@ -265,25 +266,19 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
                 log_fact.append(math.lgamma(klist[-1] + n + 1.0))
             log_term = _log_coeffs(mu, klist, n, log_fact)[rows] + n * ln_abs_z
             over = log_term > 700.0
-            if over.any():
-                for i in np.flatnonzero(over).tolist():
-                    fail(i, "series term overflows for z={z} (mu={mu}, k={k})",
-                         reason="overflow", last_term=math.inf, n_terms=n)
-                keep = ~over
-                state, idx, rows, negative, log_term = (
-                    state[:, keep], idx[keep], rows[keep], negative[keep],
-                    log_term[keep])
-                if not idx.size:
-                    return values, ests, n_terms, failures
-                ln_abs_z, total, comp, abs_sum, small_run = state
-            term = _libm(math.exp, log_term)
+            # An overflowing pair's term is NaN, so it is never done; it fails.
+            term = _libm(math.exp, np.where(over, math.nan, log_term))
             if n & 1:
                 np.negative(term, out=term, where=negative)
             abs_term = np.abs(term)
             abs_sum += abs_term
             value, done = _sum_step(total, comp, small_run, term, abs_term,
                                     ctl.rel_tol)
-            if done.any():
+            stop = done | over
+            if stop.any():
+                for i in np.flatnonzero(over).tolist():
+                    fail(i, "series term overflows for z={z} (mu={mu}, k={k})",
+                         reason="overflow", last_term=math.inf, n_terms=n)
                 # Error estimate calibrated against 50-digit references over
                 # a 400-case stress grid: the true error stays below
                 # 1.2e-15 * abs_sum, so 1e-14 carries ~9x margin.
@@ -291,7 +286,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
                 values[finished] = value[done]
                 ests[finished] = 1e-14 * abs_sum[done]
                 n_terms[finished] = n + 1
-                keep = ~done
+                keep = ~stop
                 state, idx, rows, negative, abs_term = (
                     state[:, keep], idx[keep], rows[keep], negative[keep],
                     abs_term[keep])

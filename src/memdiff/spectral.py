@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MemdiffError, ModeError, TruncationError
-from .resolvent import Curve, CurveMethod, series_S, series_curve
+from .resolvent import (Curve, CurveMethod, _validate_grid, series_S,
+                        series_curve)
 from .symbols import KernelParams, ScalarProblem
 from .volterra import solve_volterra, solve_volterra_batch, volterra_grid
 
@@ -77,18 +78,21 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
     """Resolvent curve of mode n: exactly the scalar route at rho = -lambda_n.
 
     For the Volterra route the grid must be uniform from 0 (it becomes the
-    stepping grid).  Failures carry the offending mode index.
+    stepping grid).  A bad argument raises :class:`DomainError`; a failure of
+    the mode's solution raises :class:`ModeError` with the mode index.
     """
     prob = ScalarProblem(params, -model.eigenvalue(n))
     method = CurveMethod(method)
+    if method is CurveMethod.SERIES:
+        times = _validate_grid(times)
+    elif method is CurveMethod.VOLTERRA:
+        cfg = volterra_grid(times)[0]
+    else:
+        raise DomainError(f"unsupported mode-curve method {method!r}")
     try:
         if method is CurveMethod.SERIES:
             return series_curve(prob, times)
-        if method is CurveMethod.VOLTERRA:
-            return solve_volterra(prob, volterra_grid(times)[0])
-        raise DomainError(f"unsupported mode-curve method {method!r}")
-    except ModeError:
-        raise
+        return solve_volterra(prob, cfg)
     except MemdiffError as exc:
         raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
 
@@ -96,6 +100,8 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
 def field(model: SpectralModel, params: KernelParams, t: float,
           x_grid) -> np.ndarray:
     """u(t, x) = sum_n S_n(t) <u0, phi_n> phi_n(x) over the retained modes."""
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > model.length):
         raise DomainError("x_grid must lie inside [0, length]")
@@ -130,13 +136,12 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     per_cell = 1
     if method is CurveMethod.VOLTERRA:
         rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
+        cfg, per_cell = volterra_grid(times, dt)
         try:
-            cfg, per_cell = volterra_grid(times, dt)
             stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
         except MemdiffError as exc:
-            # A solution that is not finite names its row; the grid, the
-            # step and the kernel table are shared by all modes, so any
-            # other failure is the first mode's.
+            # A solution that is not finite names its row; any other
+            # failure of the shared march is charged to the first mode.
             n = getattr(exc, "row", 0) + 1
             raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
         grid = times

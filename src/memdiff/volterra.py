@@ -57,6 +57,11 @@ __all__ = ["VolterraConfig", "kernel_a", "solve_volterra",
            "solve_volterra_batch", "solve_volterra_on_grid", "volterra_grid"]
 
 
+# Most steps one solve may take: the history march costs O(n_steps^2)
+# operations, about 5e11 multiply-adds at this bound.
+_MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class VolterraConfig:
     """Uniform-grid stepping: horizon = dt * n_steps.
@@ -73,8 +78,9 @@ class VolterraConfig:
         if not (0.0 < self.dt <= 0.1):
             raise DomainError(
                 f"dt must lie in (0, 0.1] for the accuracy claims, got {self.dt}")
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (1 <= self.n_steps <= _MAX_STEPS):
+            raise DomainError(
+                f"n_steps must lie in [1, {_MAX_STEPS}], got {self.n_steps}")
 
 
 def kernel_a(params: KernelParams, t):
@@ -197,6 +203,9 @@ def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
             atol=4.0 * np.finfo(float).eps * abs(grid[-1])):
         raise DomainError("the Volterra route needs a uniform grid starting at 0")
     spacing = float(cells[0])
+    if dt is not None and spacing / dt * (grid.size - 1) > _MAX_STEPS:
+        # Bounded before math.ceil below, which fails on an infinite ratio.
+        raise DomainError(f"dt = {dt} needs more than {_MAX_STEPS} steps")
     per_cell = 1 if dt is None else max(1, math.ceil(spacing / dt - 1e-9))
     n_steps = per_cell * (grid.size - 1)
     # With one step per cell the step is the spacing itself; on a

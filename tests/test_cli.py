@@ -58,16 +58,21 @@ NORM = ("--alpha", "1", "--beta", "0.5", "--mu", "0.5", "--tmax", "1",
       "--dt", "-1"), 64, "dt must be finite and > 0"),
     (("scalar-curve", *GOLDEN, "--method", "volterra", "--dt", "inf"), 64,
      "dt must be finite and > 0"),
-    # norm-curve charges a failure of the shared stepping to mode 1
-    (("norm-curve", *NORM, "--modes", "2", "--dt", "0"), 2,
-     "mode 1: dt must be finite and > 0"),
+    (("norm-curve", *NORM, "--modes", "2", "--dt", "0"), 64,
+     "dt must be finite and > 0"),
     (("verify", *GOLDEN, "--points", "3", "--dt", "0"), 64,
      "dt must be finite and > 0"),
     # t^(mu+1) overflows: a typed ConvergenceError, not an OverflowError
     (("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
       "--tmax", "1e300", "--points", "3"), 2, "t=5e+299: "),
+    # horizons whose Volterra step count exceeds its bound
+    (("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
+      "--method", "volterra", "--tmax", "1e200"), 64, "dt = 0.0025 needs"),
+    (("verify", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
+      "--tmax", "1e9", "--points", "2"), 64, "dt = 0.0025 needs"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
-        "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300"])
+        "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
+        "volterra-tmax-1e200", "verify-tmax-1e9"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix):
     cp = run_cli(*argv)
     assert cp.returncode == code

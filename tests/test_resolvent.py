@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from memdiff import (ConvergenceError, Curve, CurveMethod, DomainError,
                      Mu1Case, VolterraConfig, invert_transform,
@@ -98,6 +98,11 @@ class TestSeriesCurve:
             series_curve(prob, [0.5, 1.0])
         with pytest.raises(DomainError):
             series_curve(prob, [0.0, 1.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                series_curve(prob, [0.0, bad])
+            with pytest.raises(DomainError):
+                Curve([0.0, bad], [1.0, 0.5], CurveMethod.SERIES, prob)
 
     # Bits of the per-point loop that sampled curves before the grid engine
     # (one outer walk per time); the last case has rho = 0, so z = 0.
@@ -144,8 +149,8 @@ class TestSeriesCurve:
          "2.00e-03", "precision", 55, "0x1.487eb27b4d1f0p-25"),
         # memdiff scalar-curve -a 1 -b 0 -m 0.5 -r 300 --tmax 20 --points 5
         ((1.0, 0.0, 0.5, 300.0), (20.0, 5),
-         "t=5.0: resolvent series did not converge within 2000 terms at "
-         "t=5.0", "max_terms", 2000, "inf"),
+         "t=5.0: resolvent series term 169 overflows at t=5.0",
+         "overflow", 170, "inf"),
     ])
     def test_raises_as_the_per_point_loop(self, params, grid, message,
                                           reason, n_terms, last):
@@ -156,6 +161,8 @@ class TestSeriesCurve:
 
     @settings(max_examples=30, deadline=None)
     @given(curve_sweep_cases())
+    # Five times that succeed, then four whose outer sums overflow.
+    @example((problem(1.0, 0.0, 0.5, 300.0), np.linspace(0.0, 4.0, 9)))
     def test_grid_engine_is_the_batch_of_one(self, case):
         prob, grid = case
         values, failures = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL)
@@ -164,6 +171,10 @@ class TestSeriesCurve:
                 expected = series_S(prob, float(t))
             except ConvergenceError as exc:
                 assert error_record(failures[i]) == error_record(exc)
+                # A walk ends at its first term that is not finite.
+                assert math.isfinite(exc.last_term) or (
+                    exc.reason == "overflow"
+                    and exc.n_terms < DEFAULT_SERIES_CONTROL.max_terms)
                 continue
             assert i not in failures
             assert float.hex(float(values[i])) == float.hex(expected)

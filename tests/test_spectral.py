@@ -85,7 +85,7 @@ class TestModeCurve:
         assert np.max(np.abs(series.values - volterra.values)) < 1e-4
 
     def test_volterra_needs_uniform_grid(self):
-        with pytest.raises(ModeError):
+        with pytest.raises(DomainError):
             mode_curve(make_model(), KernelParams(1.0, 0.5, 0.5), 1,
                        np.array([0.0, 0.1, 0.5]), "volterra")
 
@@ -109,6 +109,13 @@ class TestField:
         for (lam, phi), c in zip(eigen_pairs(model), model.u0_coeffs):
             expected += c * phi(x)
         assert np.allclose(got, expected, atol=1e-14)
+
+    def test_bad_time_is_an_argument_error(self):
+        # checked even when no mode is evaluated
+        model = make_model(L=math.pi, n_modes=2, coeffs=[0.0, 0.0])
+        for t in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                field(model, KernelParams(1.0, 1.0, 0.5), t, [0.0, 1.0])
 
     def test_single_mode_field_is_scaled_eigenfunction(self):
         model = make_model(L=math.pi, n_modes=2, coeffs=[1.0, 0.0])
@@ -197,13 +204,13 @@ class TestBatchedNormCurve:
         assert np.array_equal(coarse.times, grid)
         assert np.array_equal(coarse.values, fine.values[::25])
 
-    def test_shared_failure_reported_on_the_first_mode(self):
+    def test_shared_failure_is_an_argument_error(self):
         # a 0.5 step is outside the Volterra budget for every mode
-        with pytest.raises(ModeError) as info:
+        with pytest.raises(DomainError) as info:
             operator_norm_curve(make_model(), KernelParams(1.0, 0.5, 0.5),
                                 [0.0, 0.5, 1.0], method="volterra")
-        assert info.value.mode_index == 1
-        assert "mode 1" in str(info.value)
+        assert not isinstance(info.value, ModeError)
+        assert str(info.value).startswith("dt must lie in (0, 0.1]")
 
     def test_failure_names_the_mode_that_fails_first(self):
         # mode 3 (rho = -9) goes non-finite from t = 110.2, mode 2 (rho = -4)

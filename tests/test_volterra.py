@@ -48,6 +48,8 @@ class TestConfig:
             VolterraConfig(0.0, 10)
         with pytest.raises(DomainError):
             VolterraConfig(0.01, 0)
+        with pytest.raises(DomainError):
+            VolterraConfig(0.01, 10**6 + 1)
 
 
 class TestSolveVolterra:
