@@ -147,28 +147,18 @@ def theoretical_bound(params: KernelParams, omega: float) -> DecayBound:
                       uniformly_stable=params.beta ** (params.mu + 1.0) > aw)
 
 
-def _tail_window(curve: Curve, tail_fraction: float) -> np.ndarray:
-    if not (0.0 < tail_fraction < 1.0):
-        raise DomainError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
-    t = curve.times
-    cut = t[0] + (t[-1] - t[0]) * (1.0 - tail_fraction)
-    mask = t >= cut
-    if np.count_nonzero(mask) < 3:
-        raise DomainError("tail window holds fewer than 3 samples")
-    return mask
-
-
-def fit_decay_rate(curve: Curve, tail_fraction: float = 0.5) -> RateFit:
-    """Fit ln|values| ~ rate * t + b over the last ``tail_fraction`` of the
-    grid.
+def fit_decay_rate(curve: Curve) -> RateFit:
+    """Fit ln|values| ~ rate * t + b over the last half of the grid.
 
     Sign changes or zeros in the window switch to the envelope of |values|
     through its local maxima (flagged ``oscillatory``); if no envelope is
     resolvable the fit raises :class:`AccuracyError`.
     """
-    mask = _tail_window(curve, tail_fraction)
-    t = curve.times[mask]
-    v = curve.values[mask]
+    t = curve.times
+    mask = t >= t[0] + (t[-1] - t[0]) * 0.5
+    if np.count_nonzero(mask) < 3:
+        raise DomainError("tail window holds fewer than 3 samples")
+    t, v = t[mask], curve.values[mask]
     oscillatory = bool(np.any(v[1:] * v[:-1] <= 0.0))
     if oscillatory:
         w = np.abs(v)
@@ -266,6 +256,8 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     so reports are reproducible and the sampling may be split freely.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if not classify(params, 0.0).supported:
         raise HypothesisError(
             f"unsupported regime: alpha={alpha}, beta={beta}, mu={mu}")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, StepSizeError
-from .resolvent import Curve, CurveMethod
+from .resolvent import Curve, CurveMethod, _validate_grid
 from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
@@ -194,13 +194,13 @@ def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
     stepping grid; with it, each cell is split into the fewest equal steps
     no longer than ``dt`` (to 1e-9 relative), which must be finite and > 0.
     """
+    grid = _validate_grid(grid)
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be finite and > 0, got {dt}")
-    grid = np.asarray(grid, dtype=float)
     cells = np.diff(grid)
-    if grid.size < 2 or grid[0] != 0.0 or not np.allclose(
+    if grid.size < 2 or not np.allclose(
             cells, cells[0], rtol=1e-12,
-            atol=4.0 * np.finfo(float).eps * abs(grid[-1])):
+            atol=4.0 * np.finfo(float).eps * grid[-1]):
         raise DomainError("the Volterra route needs a uniform grid starting at 0")
     spacing = float(cells[0])
     if dt is not None and spacing / dt * (grid.size - 1) > _MAX_STEPS:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -45,6 +46,9 @@ GOLDEN = ("--alpha", "1", "--beta", "3", "--mu", "1", "--rho", "-1")
 NORM = ("--alpha", "1", "--beta", "0.5", "--mu", "0.5", "--tmax", "1",
         "--points", "3")
 
+# Stands for a path whose directory does not exist.
+MISSING = object()
+
 
 @pytest.mark.parametrize("argv, code, prefix", [
     (("scalar-curve", *GOLDEN, "--tmax", "0"), 64, "--tmax must be > 0"),
@@ -70,11 +74,27 @@ NORM = ("--alpha", "1", "--beta", "0.5", "--mu", "0.5", "--tmax", "1",
       "--method", "volterra", "--tmax", "1e200"), 64, "dt = 0.0025 needs"),
     (("verify", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
       "--tmax", "1e9", "--points", "2"), 64, "dt = 0.0025 needs"),
+    (("verify", *GOLDEN, "--points", "3", "--seed", "-1"), 64,
+     "seed must be >= 0"),
+    (("verify", *GOLDEN, "--points", "3", "--tol", "nan"), 64,
+     "--tol must be finite and > 0"),
+    (("verify", *GOLDEN, "--points", "3", "--tol", "-1"), 64,
+     "--tol must be finite and > 0"),
+    # an --out in a directory that does not exist
+    (("scalar-curve", *GOLDEN, "--points", "3", "--out", MISSING), 64,
+     "[Errno 2] No such file or directory"),
+    (("norm-curve", *NORM, "--modes", "2", "--out", MISSING), 64,
+     "[Errno 2] No such file or directory"),
+    (("verify", *GOLDEN, "--points", "3", "--out", MISSING), 64,
+     "[Errno 2] No such file or directory"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
-        "volterra-tmax-1e200", "verify-tmax-1e9"])
-def test_rejected_input_is_one_line_on_stderr(argv, code, prefix):
-    cp = run_cli(*argv)
+        "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
+        "verify-tol-nan", "verify-tol-negative", "scalar-curve-out-missing",
+        "norm-curve-out-missing", "verify-out-missing"])
+def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
+    missing = str(tmp_path / "missing" / "out")
+    cp = run_cli(*(missing if a is MISSING else a for a in argv))
     assert cp.returncode == code
     assert cp.stdout == ""
     assert cp.stderr.startswith(f"memdiff: {prefix}")
@@ -282,6 +302,27 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["passes"]["three_way_agreement"] is False
         assert doc["passes"]["lemma_suites"] is True
+
+    # Decay estimates need omega < 0 and beta + omega <= 0; these miss one or
+    # the other.  The sha256 of (exit code, stdout, stderr) was recorded
+    # before the decay checks were gated in one place.
+    @pytest.mark.parametrize("argv, code, sha256", [
+        (("-a", "1", "-b", "0.5", "-m", "0.5", "-r", "-1", "--omega", "2"), 0,
+         "aec3f0d7bcfa8179a392df6b3a3dd6d210e226b5a3b0d2ec7b01cdf5a77bbdb4"),
+        (("-a", "1", "-b", "3", "-m", "0.5", "-r", "-1"), 1,
+         "4d29b28b05b40a30706959eef956525291945f8eae8a575078e77aeb640a2c52"),
+    ], ids=["omega-positive", "beta-plus-omega-positive"])
+    def test_no_decay_checks_where_decay_does_not_apply(self, argv, code,
+                                                         sha256):
+        cp = run_cli("verify", *argv)
+        record = json.dumps([cp.returncode, cp.stdout, cp.stderr])
+        assert cp.returncode == code, cp.stderr
+        assert hashlib.sha256(record.encode()).hexdigest() == sha256
+        doc = json.loads(cp.stdout)
+        assert doc["theoretical_rate"] is None
+        assert doc["c_min"] is None
+        assert set(doc["passes"]) == {"three_way_agreement", "lemma_suites",
+                                      "all"}
 
     def test_series_exclusions_are_the_failing_points(self):
         # (rho + beta) t reaches -60: the series fails at the late times

@@ -1,11 +1,14 @@
 """Every name that memdiff or one of its modules exports must resolve, and
 every name a module imports must be used, so a deletion cannot leave a stale
-entry in an ``__all__`` or a stale import behind."""
+entry in an ``__all__`` or a stale import behind.  The runtime depends on
+numpy alone, so no module imports anything else from outside the standard
+library."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -48,3 +51,23 @@ def test_every_imported_name_is_used(name, monkeypatch):
     hooked = {attr for owner, attr in
               _load_tracing(monkeypatch)._hooks(memdiff) if owner is module}
     assert [n for n in _unused_imports(module) if n not in hooked] == []
+
+
+def _imported_packages(module) -> set[str]:
+    """Top-level packages ``module`` imports; a relative import is memdiff."""
+    tree = ast.parse(inspect.getsource(module))
+    packages = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            packages.add("memdiff" if node.level
+                         else node.module.split(".")[0])
+    return packages
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_runtime_imports_are_numpy_only(name):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "memdiff"}
+    module = importlib.import_module(name)
+    assert sorted(_imported_packages(module) - allowed) == []

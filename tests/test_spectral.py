@@ -89,6 +89,15 @@ class TestModeCurve:
             mode_curve(make_model(), KernelParams(1.0, 0.5, 0.5), 1,
                        np.array([0.0, 0.1, 0.5]), "volterra")
 
+    def test_volterra_rejects_a_2d_grid(self):
+        grid = [[0.0, 0.1], [0.2, 0.3]]
+        with pytest.raises(DomainError):
+            mode_curve(make_model(), KernelParams(1.0, 0.5, 0.5), 1, grid,
+                       "volterra")
+        with pytest.raises(DomainError):
+            operator_norm_curve(make_model(), KernelParams(1.0, 0.5, 0.5),
+                                grid, method="volterra")
+
     def test_failure_tagged_with_mode_index(self):
         # high modes push (rho+beta) t far negative: the series dies loudly
         model = make_model(L=math.pi, n_modes=4)

@@ -344,7 +344,10 @@ class TestVolterraGrid:
         assert (cfg.dt, cfg.n_steps, per_cell) == (grid[1], 100000, 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5], [0.1, 0.2, 0.3], [0.0],
-                                      [0.0, 0.05, 0.1000001]])
+                                      [0.0, 0.05, 0.1000001],
+                                      [[0.0, 0.1], [0.2, 0.3]], 0.0,
+                                      [0.0, -0.1, -0.2], [0.0, math.nan],
+                                      [0.0, math.inf]])
     def test_non_uniform_or_shifted_grid_rejected(self, grid):
         with pytest.raises(DomainError):
             volterra_grid(grid)
