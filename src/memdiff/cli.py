@@ -16,6 +16,7 @@ error, 3 hypothesis/regime error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,9 +338,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built on the first call and never changed:
+    parsing leaves it as it was, and building it costs 1-2 ms."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:  # OSError: an --out it cannot open

@@ -53,6 +53,14 @@ class SpectralModel:
             raise DomainError(
                 f"expected {self.n_modes} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "u0_coeffs", coeffs)
+        try:
+            top = self.eigenvalue(self.n_modes)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise DomainError(
+                f"eigenvalue {self.n_modes} of length {self.length} is not "
+                "a finite float")
 
     def eigenvalue(self, n: int) -> float:
         if not (1 <= n <= self.n_modes):
@@ -139,6 +147,8 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
         cfg, per_cell = volterra_grid(times, dt)
         try:
             stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
+        except DomainError:  # a batch too large is no mode's failure
+            raise
         except MemdiffError as exc:
             # A solution that is not finite names its row; any other
             # failure of the shared march is charged to the first mode.

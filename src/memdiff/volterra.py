@@ -23,16 +23,26 @@ The march then takes one of two loops, chosen by the batch size:
 
 - two or more rows advance together, and the history sums of all rows are
   one ``np.vecdot`` per step, so the call overhead is shared by the rows;
-- a batch of one marches on Python floats: one ``np.dot`` per step for the
-  history sum and float arithmetic for the update.  That is the batched
-  step without its array temporaries; on a 2-CPU host a step costs about
-  1.5 us at n = 1,000 and 3.4 us at n = 8,000, against 8-10 us for one row
-  in the batched loop.
+  the update runs in place in one preallocated buffer, with no temporary
+  array per step;
+- a batch of one marches on Python floats: one ``ndarray.dot`` per step for
+  the history sum and float arithmetic for the update.  That is the batched
+  step without its array temporaries.  ``ndarray.dot`` is the ``ddot`` that
+  ``np.dot`` calls, without its ``__array_function__`` dispatch: 0.2-0.5 us
+  less per call, timed alone.
 
-Batch invariance: each row of that ``vecdot`` and the one-row ``np.dot`` are
+On a 2-CPU host (best of five runs; the host's speed varied about 2x
+between runs), a step costs about 1.1 us for one row at n = 1,000 and
+2.0 us at n = 8,000; a step of the batched loop costs 3.9 us for two rows
+and 5.8 us for 16 at n = 1,000.
+
+Batch invariance: each row of that ``vecdot`` and the one-row ``dot`` are
 the same BLAS ``ddot`` over contiguous memory, and Python floats round as
 numpy's elementwise operations do, so a row's values do not depend on the
 batch it is marched in, and :func:`solve_volterra` is the batch of one.
+The in-place update applies the same IEEE operations as
+``(1 + rho dt (a_i / 2 + dot)) / denom``, only with the operands of ``+``
+and ``*`` swapped, which does not change their rounding.
 A matrix-vector product (``@`` on the batch), ``sum``, ``math.fsum``, a
 reciprocal of the denominator and fused forms regroup or reround the
 arithmetic and are not used.  The march is causal, so the first n + 1 values
@@ -60,6 +70,9 @@ __all__ = ["VolterraConfig", "kernel_a", "solve_volterra",
 # Most steps one solve may take: the history march costs O(n_steps^2)
 # operations, about 5e11 multiply-adds at this bound.
 _MAX_STEPS = 10**6
+# Most floats one batch's table of rows may hold: 16 rows at the step bound,
+# 128 MB.
+_MAX_TABLE = 16 * (_MAX_STEPS + 1)
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,10 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     """Rows u_r(i dt), i = 0..n, for every rho_r of ``rhos``: shape
     (len(rhos), n + 1)."""
     rhos = np.asarray(rhos, dtype=float)
+    if rhos.size * (n + 1) > _MAX_TABLE:
+        raise DomainError(
+            f"{rhos.size} rows of {n + 1} nodes exceed the batch bound of "
+            f"{_MAX_TABLE} floats")
     denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
     if np.any(np.abs(denom) < 1e-12):
         worst = float(np.min(np.abs(denom)))
@@ -122,18 +139,24 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     a = kernel_a(params, np.arange(n + 1) * dt)
     # Contiguous, so each history sum below is one BLAS ddot.
     a_rev = a[::-1].copy()
+    # j = 0 endpoint of every history sum, u(0) = 1
+    half_a = (0.5 * a).tolist()
     u = np.empty((rhos.size, n + 1))
     u[:, 0] = 1.0
     # Overflow is reported once, below, as an AccuracyError.
     with np.errstate(over="ignore", invalid="ignore"):
+        u[:, 1] = (1.0 + rho_dt * half_a[1]) / denom  # an empty history
         if rhos.size == 1:
-            _march_row(a, a_rev, float(rho_dt[0]), float(denom[0]), u[0])
+            _march_row(a_rev, half_a, float(rho_dt[0]), float(denom[0]), u[0])
         else:
-            for i in range(1, n + 1):
-                hist = 0.5 * a[i]  # j = 0 endpoint, u(0) = 1
-                if i > 1:
-                    hist = hist + np.vecdot(a_rev[n - i + 1:n], u[:, 1:i])
-                u[:, i] = (1.0 + rho_dt * hist) / denom
+            hist = np.empty(rhos.size)
+            for i in range(2, n + 1):
+                # (1 + rho dt (a_i / 2 + dot)) / denom, in place
+                np.vecdot(a_rev[n - i + 1:n], u[:, 1:i], out=hist)
+                hist += half_a[i]
+                hist *= rho_dt
+                hist += 1.0
+                np.divide(hist, denom, out=u[:, i])
     finite = np.isfinite(u)
     if not finite.all():
         # The earliest failing step, the lowest row on a tie.
@@ -146,16 +169,14 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     return u
 
 
-def _march_row(a, a_rev, rho_dt: float, denom: float, row) -> None:
-    """March one row in place on Python floats: the same ddot and the same
-    rounded operations as a row of the batched loop, without its per-step
-    array overhead."""
+def _march_row(a_rev, half_a: list, rho_dt: float, denom: float,
+               row) -> None:
+    """March one row in place from step 2 on Python floats: the same ddot
+    and the same rounded operations as a row of the batched loop, without
+    its per-step array overhead."""
     n = row.size - 1
-    dot = np.dot
-    half_a = (0.5 * a).tolist()
-    row[1] = (1.0 + rho_dt * half_a[1]) / denom
     for i in range(2, n + 1):
-        hist = half_a[i] + float(dot(a_rev[n - i + 1:n], row[1:i]))
+        hist = half_a[i] + float(a_rev[n - i + 1:n].dot(row[1:i]))
         row[i] = (1.0 + rho_dt * hist) / denom
 
 

@@ -13,6 +13,7 @@ import pytest
 import memdiff
 from memdiff import (ConvergenceError, KernelParams, ScalarProblem,
                      series_S)
+from memdiff import cli
 from memdiff.cli import main
 
 
@@ -29,15 +30,20 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
                                        err.getvalue())
 
 
-def run_cli_process(*args: str) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, for what one process cannot show.
-    The child imports the memdiff that this process imported."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, for what one process cannot show.  The child
+    imports the memdiff that this process imported."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(memdiff.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "memdiff.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter."""
+    return run_python("-m", "memdiff.cli", *args)
 
 
 GOLDEN = ("--alpha", "1", "--beta", "3", "--mu", "1", "--rho", "-1")
@@ -87,11 +93,18 @@ MISSING = object()
      "[Errno 2] No such file or directory"),
     (("verify", *GOLDEN, "--points", "3", "--out", MISSING), 64,
      "[Errno 2] No such file or directory"),
+    # an eigenvalue (pi / L)^2 past the float range
+    (("norm-curve", *NORM, "--length", "1e-200"), 64,
+     "eigenvalue 16 of length 1e-200 is not a finite float"),
+    # a batch of 17 modes at the Volterra step bound
+    (("norm-curve", *NORM, "--modes", "17", "--dt", "1e-6"), 64,
+     "17 rows of 1000001 nodes exceed the batch bound"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
         "verify-tol-nan", "verify-tol-negative", "scalar-curve-out-missing",
-        "norm-curve-out-missing", "verify-out-missing"])
+        "norm-curve-out-missing", "verify-out-missing",
+        "norm-curve-length-1e-200", "norm-curve-batch-bound"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -349,3 +362,61 @@ class TestVerify:
     def test_missing_subcommand_exits_64(self):
         cp = run_cli()
         assert cp.returncode == 64
+
+
+class TestParserBuiltOnce:
+    # Different subcommands, an argparse error and --help in a row.
+    ARGVS = [
+        ("scalar-curve", *GOLDEN, "--tmax", "1", "--points", "5"),
+        ("scalar-curve", *GOLDEN, "--points", "two"),
+        ("verify", "--help"),
+        ("norm-curve", *NORM, "--modes", "2"),
+        ("classify", "-a", "1", "-b", "0.5", "-m", "0.5", "-w", "-1"),
+    ]
+
+    def test_one_parser_serves_calls_as_fresh_processes(self, monkeypatch):
+        # --help wraps at the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            runs = [run_cli(*argv) for argv in self.ARGVS]
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [cp.returncode for cp in runs] == [0, 64, 0, 0, 0]
+        for argv, cp in zip(self.ARGVS, runs):
+            fresh = run_cli_process(*argv)
+            assert (cp.returncode, cp.stdout, cp.stderr) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        # The parser is built on the first call of main, not at import, so
+        # importing memdiff.cli costs no parser.
+        probe = "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting_init(self, *args, **kwargs):",
+            "    built.append(None)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting_init",
+            "import memdiff.cli",
+            "print(len(built))",
+            "memdiff.cli.main(['classify', '-a', '1', '-b', '0.5', '-m', "
+            "'0.5', '-w', '-1'])",
+            "print(len(built))",
+        ])
+        cp = run_python("-c", probe)
+        assert cp.returncode == 0, cp.stderr
+        lines = cp.stdout.splitlines()
+        assert lines[0] == "0"
+        assert int(lines[-1]) > 0  # the count sees the parser main builds

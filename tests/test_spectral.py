@@ -48,6 +48,14 @@ class TestEigenPairs:
         with pytest.raises(DomainError):
             make_model().eigenvalue(9)
 
+    @pytest.mark.parametrize("L, n_modes", [(1e-200, 1), (1e-320, 1),
+                                            (1e-153, 16)])
+    def test_eigenvalue_out_of_float_range(self, L, n_modes):
+        # (n pi / L)^2 overflows a float, or n pi / L is already inf; at
+        # L = 1e-153 modes 1-4 are finite and mode 16 is not
+        with pytest.raises(DomainError, match="is not a finite float"):
+            make_model(L=L, n_modes=n_modes)
+
 
 class TestModeCurve:
     def test_series_is_bit_identical_to_scalar_route(self):
@@ -220,6 +228,15 @@ class TestBatchedNormCurve:
                                 [0.0, 0.5, 1.0], method="volterra")
         assert not isinstance(info.value, ModeError)
         assert str(info.value).startswith("dt must lie in (0, 0.1]")
+
+    def test_batch_beyond_the_table_bound_is_an_argument_error(self):
+        # 17 modes of 10^6 + 1 nodes: past 16 rows at the step bound
+        with pytest.raises(DomainError) as info:
+            operator_norm_curve(make_model(n_modes=17),
+                                KernelParams(1.0, 0.5, 0.5), [0.0, 5.0],
+                                method="volterra", dt=5e-6)
+        assert not isinstance(info.value, ModeError)
+        assert str(info.value).startswith("17 rows of 1000001 nodes exceed")
 
     def test_failure_names_the_mode_that_fails_first(self):
         # mode 3 (rho = -9) goes non-finite from t = 110.2, mode 2 (rho = -4)

@@ -304,6 +304,32 @@ class TestBatchedMarch:
             assert one.error_estimate == float(
                 np.max(np.abs(fine_row[::2] - coarse)))
 
+    @pytest.mark.parametrize("params", [KernelParams(1.0, 0.5, 0.5),
+                                        KernelParams(-0.2, 0.0, 0.3)])
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_smallest_batches_and_shortest_marches_match_one_row(
+            self, params, rows, n_steps):
+        # The smallest batches that take the batched loop, over marches
+        # that are all or mostly its first step.
+        rhos = [-float(k * k) for k in range(1, rows + 1)]
+        cfg = VolterraConfig(0.005, n_steps)
+        batch = solve_volterra_batch(params, rhos, cfg)
+        assert batch.shape == (rows, n_steps + 1)
+        for row, rho in zip(batch, rhos):
+            one = solve_volterra(ScalarProblem(params, rho), cfg)
+            assert np.array_equal(row, one.values)
+
+    @pytest.mark.parametrize("rows, n_steps", [(17, 10**6), (16001, 999)])
+    def test_batch_table_is_bounded_before_it_is_allocated(self, rows,
+                                                           n_steps):
+        # rows * (n_steps + 1) floats may not exceed 16 rows at the step
+        # bound; the check comes before the kernel table and the rows.
+        with pytest.raises(DomainError,
+                           match=f"{rows} rows of {n_steps + 1} nodes exceed"):
+            solve_volterra_batch(KernelParams(1.0, 0.5, 0.5), [-1.0] * rows,
+                                 VolterraConfig(0.005, n_steps))
+
     def test_short_solve_is_a_prefix_of_the_long_one(self):
         prob = problem(1.0, 1.0, 0.5, -2.0)
         short = solve_volterra(prob, VolterraConfig(0.005, 4000))
