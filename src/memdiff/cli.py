@@ -35,7 +35,8 @@ from .spectral import SpectralModel, operator_norm_curve
 from .stability import classify, fit_decay_rate, lemma_property_suite, \
     theoretical_bound, verify_bound
 from .symbols import KernelParams, ScalarProblem
-from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
+from .volterra import (VolterraConfig, _check_batch, solve_volterra,
+                       solve_volterra_on_grid, volterra_grid)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,11 +144,15 @@ def cmd_scalar_curve(args) -> int:
 
 def cmd_norm_curve(args) -> int:
     params = KernelParams(args.alpha, args.beta, args.mu)
+    grid = _grid(args.tmax, args.points)
+    if CurveMethod(args.method) is CurveMethod.VOLTERRA:
+        # A batch past the bound is refused before the model holds a
+        # coefficient per mode.
+        _check_batch(args.modes, volterra_grid(grid, args.dt)[0].n_steps)
     model = SpectralModel(args.length, args.modes, (0.0,) * args.modes)
     regime = classify(params, -model.eigenvalue(1))
     if not regime.supported and not args.force:
         return _refuse(args)
-    grid = _grid(args.tmax, args.points)
     return _write_curve(args, operator_norm_curve(
         model, params, grid, method=args.method, dt=args.dt))
 

@@ -23,7 +23,8 @@ so ``series_S``, the batch of one, equals every point of ``series_curve``
 bit for bit and error for error.  Every failure is a
 :class:`ConvergenceError`, an overflow of t^{mu+1} included.  The powers
 t^{mu+1} and the damping e^{-beta t} are computed per time by Python's libm
-calls, like every transcendental call of the inner series.
+calls; every transcendental result of the inner series carries libm's bits
+too.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
             for j, k in enumerate(ks.tolist()):
                 term = terms[:, j]
                 # A sum that takes a term that is not finite can never stop.
-                for r in np.flatnonzero(active & ~np.isfinite(term)).tolist():
+                for r in (active & ~np.isfinite(term)).nonzero()[0].tolist():
                     active[r] = False
                     i = int(live[r])
                     failures[i] = inner_failures.get(r * width + j) or (
@@ -206,7 +207,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
                 done &= active
                 if not done.any():
                     continue
-                for r in np.flatnonzero(done).tolist():
+                for r in done.nonzero()[0].tolist():
                     active[r] = False
                     i = int(live[r])
                     s_i = float(damp[r] * value[r])

@@ -22,12 +22,13 @@ Larger k reach a little further.
 
 The series is written once, as an engine over arrays of (k, z) pairs
 (``_prabhakar_pairs``): all pairs step through n together in numpy add,
-multiply, ``where`` and ``abs``, and each keeps the operation order of its
+multiply, ``abs`` and ``exp``, and each keeps the operation order of its
 own sequential walk, so a batch equals one-pair calls bit for bit and error
 for error.  ``_prabhakar_scaled`` is the one-pair call.  Every
-transcendental call is libm's, one element at a time (``math.exp``,
-``math.log``, ``math.lgamma``): numpy's vectorized exp need not round like
-libm's.
+transcendental result carries libm's bits, because numpy's real exp and log
+need not round like libm's: ``exp`` is one numpy call on the whole array
+through the complex exp, which is libm's ``cexp`` (``_exp``), and ``log``
+and ``lgamma`` are ``math`` calls, one element at a time.
 
 The series keeps no state between calls: a call computes the
 log-coefficients of each n as its walk reaches it, from a log-factorial
@@ -101,8 +102,10 @@ def reg_lower_inc_gamma(mu: float, x):
     ``x`` may be an array (the Volterra kernel table is one such call).  Each
     element runs the arithmetic of a one-point call and stops at its own
     convergence test, so an array call equals one-point calls bit for bit.
-    The front factor x^mu e^{-x} / Gamma(mu) is a per-element ``math`` call
-    because numpy's exp and log need not round like libm's.
+    The front factor x^mu e^{-x} / Gamma(mu) is e^{-x + mu ln x -
+    lgamma(mu)}, with libm's bits: ``log`` per element from ``math``, ``exp``
+    in one call of :func:`_exp`, the same operations in the same order as a
+    scalar ``math.exp(-x + mu * math.log(x) - lgamma(mu))``.
     """
     if not (0.0 < mu <= 1.0):
         raise DomainError(f"mu must lie in (0, 1], got {mu}")
@@ -115,9 +118,9 @@ def reg_lower_inc_gamma(mu: float, x):
     lgamma_mu = math.lgamma(mu)
 
     def front(values: np.ndarray) -> np.ndarray:
-        # exp(-x + mu ln x - lgamma(mu)) underflows harmlessly for huge x.
-        return np.array([math.exp(-v + mu * math.log(v) - lgamma_mu)
-                         for v in values.tolist()])
+        # exp(-x + mu ln x - lgamma(mu)) underflows harmlessly for huge x;
+        # its argument is <= 0, inside _exp's contract.
+        return _exp(-values + mu * _libm(math.log, values) - lgamma_mu)
 
     low = np.flatnonzero((flat > 0.0) & (flat < mu + 1.0))
     if low.size:
@@ -197,10 +200,23 @@ def _log_coeffs(mu: float, kvals: list[int], n: int,
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` (a ``math`` function) applied to each element of ``x``.
 
-    numpy's exp and log need not round like libm's (with AVX-512 numpy's exp
-    differs from math.exp on about 4.5% of uniform arguments), so every
-    transcendental call of the series is libm's, one element at a time."""
+    numpy's real log need not round like libm's, and neither does its
+    complex log, so ``log`` and ``lgamma`` are libm's, one element at a
+    time; ``exp`` goes through :func:`_exp`."""
     return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """e^x for each element of ``x``, bit for bit ``math.exp``, for x <= 709.
+
+    numpy's real exp does not round like libm's (with AVX-512 it differs on
+    about 4.5% of uniform arguments).  Its complex exp calls libm's ``cexp``,
+    and glibc's ``cexp(x + 0i)`` is ``exp(x) * 1`` for every x up to 709, so
+    the real part carries libm's bits; NaN, -inf and +-0 map as ``math.exp``
+    maps them.  Above 709 glibc rescales and the last bit may differ.  Both
+    callers stay inside: the series masks ``log_term > 700`` to NaN, and the
+    incomplete gamma's front exponent -x + mu ln x - lgamma(mu) is <= 0."""
+    return np.exp(x.astype(np.complex128)).real
 
 
 def _sum_step(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
@@ -209,10 +225,16 @@ def _sum_step(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
     sum ``total + comp`` and count the run of terms below ``rel_tol`` times
     the sum, all three arrays in place.  Returns ``(value, done)``: the sums
     and where the run has reached ``_CONSECUTIVE_SMALL``.  Both series walks
-    stop by this rule."""
+    stop by this rule.
+
+    ``comp`` gains the rounding error of ``total + term`` by Knuth's
+    branch-free two-sum.  Where that sum is finite the error is exact, so it
+    equals Neumaier's branch on the larger of |total| and |term| bit for bit,
+    in five array operations instead of seven.  Where it overflows, both
+    make the value NaN from that term on."""
     t = total + term
-    comp += np.where(np.abs(total) >= abs_term,
-                     (total - t) + term, (term - t) + total)
+    back = t - total
+    comp += (total - (t - back)) + (term - back)
     total[...] = t
     value = total + comp
     small_run += 1.0
@@ -244,12 +266,13 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     # about 0.75 MB of resident memory.
     kvals = np.array(sorted(set(ks[idx].tolist())), dtype=np.int64)
     rows = np.searchsorted(kvals, ks[idx])
-    negative = zs[idx] < 0.0
     # One row per quantity, one column per live pair, compressed together:
-    # ln|z|, running sum, compensation, sum of |terms|, run of small terms.
-    state = np.zeros((5, idx.size))
+    # ln|z|, running sum, compensation, sum of |terms|, run of small terms,
+    # sign of z.
+    state = np.zeros((6, idx.size))
     state[0] = _libm(math.log, np.abs(zs[idx]))
-    ln_abs_z, total, comp, abs_sum, small_run = state
+    state[5] = np.where(zs[idx] < 0.0, -1.0, 1.0)
+    ln_abs_z, total, comp, abs_sum, small_run, sign = state
     klist = kvals.tolist()
     # ln m! for m = 0..max(k) + n, one entry appended per term
     log_fact = [math.lgamma(m + 1.0) for m in range(klist[-1] + 1)]
@@ -267,16 +290,17 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
             log_term = _log_coeffs(mu, klist, n, log_fact)[rows] + n * ln_abs_z
             over = log_term > 700.0
             # An overflowing pair's term is NaN, so it is never done; it fails.
-            term = _libm(math.exp, np.where(over, math.nan, log_term))
+            log_term[over] = math.nan
+            term = _exp(log_term)
             if n & 1:
-                np.negative(term, out=term, where=negative)
+                term *= sign  # exact: a product with -1 or 1 negates or keeps
             abs_term = np.abs(term)
             abs_sum += abs_term
             value, done = _sum_step(total, comp, small_run, term, abs_term,
                                     ctl.rel_tol)
             stop = done | over
             if stop.any():
-                for i in np.flatnonzero(over).tolist():
+                for i in over.nonzero()[0].tolist():
                     fail(i, "series term overflows for z={z} (mu={mu}, k={k})",
                          reason="overflow", last_term=math.inf, n_terms=n)
                 # Error estimate calibrated against 50-digit references over
@@ -287,12 +311,11 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
                 ests[finished] = 1e-14 * abs_sum[done]
                 n_terms[finished] = n + 1
                 keep = ~stop
-                state, idx, rows, negative, abs_term = (
-                    state[:, keep], idx[keep], rows[keep], negative[keep],
-                    abs_term[keep])
+                state, idx, rows, abs_term = (
+                    state[:, keep], idx[keep], rows[keep], abs_term[keep])
                 if not idx.size:
                     return values, ests, n_terms, failures
-                ln_abs_z, total, comp, abs_sum, small_run = state
+                ln_abs_z, total, comp, abs_sum, small_run, sign = state
     for i in range(idx.size):
         fail(i, f"series did not meet its truncation criterion within "
                 f"{ctl.max_terms} terms for z={{z}} (mu={{mu}}, k={{k}})",

@@ -23,7 +23,8 @@ from .errors import DomainError, MemdiffError, ModeError, TruncationError
 from .resolvent import (Curve, CurveMethod, _validate_grid, series_S,
                         series_curve)
 from .symbols import KernelParams, ScalarProblem
-from .volterra import solve_volterra, solve_volterra_batch, volterra_grid
+from .volterra import (_check_batch, solve_volterra, solve_volterra_batch,
+                       volterra_grid)
 
 __all__ = [
     "SpectralModel",
@@ -143,12 +144,13 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     method = CurveMethod(method)
     per_cell = 1
     if method is CurveMethod.VOLTERRA:
-        rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
         cfg, per_cell = volterra_grid(times, dt)
+        # A batch too large is no mode's failure; it is refused before the
+        # list of rhos is built.
+        _check_batch(model.n_modes, cfg.n_steps)
+        rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
         try:
             stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
-        except DomainError:  # a batch too large is no mode's failure
-            raise
         except MemdiffError as exc:
             # A solution that is not finite names its row; any other
             # failure of the shared march is charged to the first mode.

@@ -121,14 +121,20 @@ def kernel_a(params: KernelParams, t):
     return float(a) if ts.ndim == 0 else a
 
 
+def _check_batch(rows: int, n: int) -> None:
+    """Refuse a batch of ``rows`` rows of ``n + 1`` nodes past the table
+    bound, before anything of that size is built."""
+    if rows * (n + 1) > _MAX_TABLE:
+        raise DomainError(
+            f"{rows} rows of {n + 1} nodes exceed the batch bound of "
+            f"{_MAX_TABLE} floats")
+
+
 def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     """Rows u_r(i dt), i = 0..n, for every rho_r of ``rhos``: shape
     (len(rhos), n + 1)."""
     rhos = np.asarray(rhos, dtype=float)
-    if rhos.size * (n + 1) > _MAX_TABLE:
-        raise DomainError(
-            f"{rhos.size} rows of {n + 1} nodes exceed the batch bound of "
-            f"{_MAX_TABLE} floats")
+    _check_batch(rhos.size, n)
     denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
     if np.any(np.abs(denom) < 1e-12):
         worst = float(np.min(np.abs(denom)))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     assert cp.stderr.startswith(f"memdiff: {prefix}")
     assert cp.stderr.count("\n") == 1
     assert "Traceback" not in cp.stderr
+
+
+def test_huge_volterra_batch_is_refused_before_it_is_built():
+    """A million modes past the batch bound: refused with one line, before
+    the spectral model holds a coefficient per mode."""
+    tracemalloc.start()
+    try:
+        cp = run_cli("norm-curve", *NORM, "--modes", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.returncode == 64
+    assert cp.stdout == ""
+    assert cp.stderr == ("memdiff: 1000000 rows of 201 nodes exceed the "
+                         "batch bound of 16000016 floats\n")
+    assert peak < 10_000_000
 
 
 class TestEvalML:

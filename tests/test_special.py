@@ -210,6 +210,77 @@ class TestPrabhakarML:
             SeriesControl(max_terms=8)
 
 
+def scalar_walk(mu: float, k: int, z: float, ctl: SeriesControl):
+    """One pair of the series on Python floats, the walk the pairs engine
+    vectorizes: ``math.exp`` per term, Neumaier's branch per addition.
+    Returns ``(value, estimate, n_terms)`` or raises its ConvergenceError."""
+    if z == 0.0:
+        return 1.0, 1e-16, 1
+    where = f"for z={z} (mu={mu}, k={k})"
+    ln_abs_z = math.log(abs(z))
+    total = comp = abs_sum = 0.0
+    small_run = 0
+    for n in range(ctl.max_terms):
+        log_term = (math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
+                    - math.lgamma(n * (mu + 1.0) + k + 1.0)) + n * ln_abs_z
+        if log_term > 700.0:
+            raise ConvergenceError(f"series term overflows {where}",
+                                   reason="overflow", last_term=math.inf,
+                                   n_terms=n)
+        term = math.exp(log_term)
+        if n & 1 and z < 0.0:
+            term = -term
+        abs_sum += abs(term)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        value = total + comp
+        small_run = small_run + 1 if abs(term) < ctl.rel_tol * abs(value) else 0
+        if small_run >= 3:
+            return value, 1e-14 * abs_sum, n + 1
+    raise ConvergenceError(
+        f"series did not meet its truncation criterion within "
+        f"{ctl.max_terms} terms {where}", reason="max_terms",
+        last_term=abs(term), n_terms=ctl.max_terms)
+
+
+class TestPairsAgainstScalarWalk:
+    """The pairs engine takes exp through numpy's complex exp and sums by a
+    branch-free two-sum; a pure-Python walk with ``math.exp`` and Neumaier's
+    branch must give the same bits, term counts and errors."""
+
+    KS = np.array([0, 3, 7, 0, 3, 2, 5, 4, 0, 1, 0, 6])
+    ZS = np.array([1.5, 60.0, 0.3, -2.0, -31.4, -10.0, -5.5, 0.0, 30000.0,
+                   1e9, 80.0, -0.7])
+
+    @pytest.mark.parametrize("max_terms", [64, 2000])
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])
+    def test_pairs_equal_the_scalar_walk(self, mu, max_terms):
+        ctl = SeriesControl(max_terms=max_terms)
+        values, ests, n_terms, failures = special._prabhakar_pairs(
+            mu, self.KS, self.ZS, ctl)
+        reasons = set()
+        for i, (k, z) in enumerate(zip(self.KS.tolist(), self.ZS.tolist())):
+            try:
+                want = scalar_walk(mu, k, z, ctl)
+            except ConvergenceError as exc:
+                assert error_record(failures[i]) == error_record(exc)
+                assert math.isnan(values[i])
+                reasons.add(exc.reason)
+                continue
+            assert i not in failures
+            got = (float(values[i]), float(ests[i]), int(n_terms[i]))
+            assert (float.hex(got[0]), float.hex(got[1]), got[2]) == (
+                float.hex(want[0]), float.hex(want[1]), want[2]), (k, z)
+        # z = 1e9 overflows at every mu, and 64 terms are too few for the
+        # largest positive z that does not
+        assert reasons == {"overflow"} | (
+            {"max_terms"} if max_terms == 64 else set())
+
+
 class TestRegLowerIncGammaArray:
     @pytest.mark.parametrize("mu", [0.05, 1.0])
     def test_array_equals_one_point_calls(self, mu):
