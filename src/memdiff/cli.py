@@ -35,8 +35,7 @@ from .spectral import SpectralModel, operator_norm_curve
 from .stability import classify, fit_decay_rate, lemma_property_suite, \
     theoretical_bound, verify_bound
 from .symbols import KernelParams, ScalarProblem
-from .volterra import (VolterraConfig, _check_batch, solve_volterra,
-                       solve_volterra_on_grid, volterra_grid)
+from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -105,7 +104,11 @@ def _grid(tmax: float, points: int) -> np.ndarray:
         raise DomainError(f"--tmax must be > 0, got {tmax}")
     if points < 2:
         raise DomainError(f"--points must be >= 2, got {points}")
-    return np.linspace(0.0, tmax, points)
+    try:
+        return np.linspace(0.0, tmax, points)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise DomainError(
+            f"--points {points} is more than memory can hold") from None
 
 
 def _problem_from(args) -> ScalarProblem:
@@ -144,15 +147,11 @@ def cmd_scalar_curve(args) -> int:
 
 def cmd_norm_curve(args) -> int:
     params = KernelParams(args.alpha, args.beta, args.mu)
-    grid = _grid(args.tmax, args.points)
-    if CurveMethod(args.method) is CurveMethod.VOLTERRA:
-        # A batch past the bound is refused before the model holds a
-        # coefficient per mode.
-        _check_batch(args.modes, volterra_grid(grid, args.dt)[0].n_steps)
-    model = SpectralModel(args.length, args.modes, (0.0,) * args.modes)
+    model = SpectralModel(args.length, args.modes)
     regime = classify(params, -model.eigenvalue(1))
     if not regime.supported and not args.force:
         return _refuse(args)
+    grid = _grid(args.tmax, args.points)
     return _write_curve(args, operator_norm_curve(
         model, params, grid, method=args.method, dt=args.dt))
 
@@ -162,11 +161,13 @@ def cmd_norm_curve(args) -> int:
 def cmd_classify(args) -> int:
     params = KernelParams(args.alpha, args.beta, args.mu)
     regime = classify(params, args.omega)
+    # The bound before any output, so that its failure prints one line.
+    bound = (theoretical_bound(params, args.omega)
+             if regime.supported and regime.decay_applicable else None)
     print(f"regime: {regime.regime_class.value}")
     print(f"beta+omega: {_fmt(regime.beta_plus_omega)}")
     print(f"decay_applicable: {str(regime.decay_applicable).lower()}")
-    if regime.supported and regime.decay_applicable:
-        bound = theoretical_bound(params, args.omega)
+    if bound is not None:
         print(f"rate: {_fmt(bound.rate)}")
         if bound.poly_coeff:
             print(f"poly: 1 + {_fmt(bound.poly_coeff)} * t^{_fmt(bound.poly_power)}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import AccuracyError, ConvergenceError, DomainError
 # _prabhakar_scaled is no longer called here; the benchmark's tracer hooks
 # the name in this module, so it stays bound.
 from .special import (DEFAULT_SERIES_CONTROL, SeriesControl,  # noqa: F401
@@ -300,21 +300,31 @@ def mu1_closed_form(prob: ScalarProblem, t: float) -> float:
         S(t) = e^{(rho-beta)t/2} (cos(c t) + (rho+beta)/(2c) * sin(c t)),
 
     the real inverse transform of lam/(lam^2 - (rho+beta) lam - alpha rho)
-    shifted by e^{-beta t}.
+    shifted by e^{-beta t}.  A discriminant or an exponential that is not a
+    finite float raises :class:`AccuracyError`.
     """
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     p = prob.params
     cls = mu1_classify(prob)
+    if not math.isfinite(cls.discriminant):
+        raise AccuracyError(f"the mu = 1 discriminant is not a finite float "
+                            f"(rho={prob.rho})")
     s = prob.rho + p.beta
-    if cls.case is Mu1Case.DOUBLE_ROOT:
-        return (1.0 + 0.5 * s * t) * math.exp(0.5 * (prob.rho - p.beta) * t)
-    if cls.case is Mu1Case.TWO_REAL_ROOTS:
-        root = math.sqrt(cls.discriminant)
-        c1 = (s + root) / (2.0 * root)
-        c2 = (s - root) / (2.0 * root)
-        return (c1 * math.exp(0.5 * (prob.rho - p.beta + root) * t)
-                - c2 * math.exp(0.5 * (prob.rho - p.beta - root) * t))
-    c = 0.5 * math.sqrt(-cls.discriminant)
-    return math.exp(0.5 * (prob.rho - p.beta) * t) * (
-        math.cos(c * t) + s / (2.0 * c) * math.sin(c * t))
+    try:
+        if cls.case is Mu1Case.DOUBLE_ROOT:
+            return (1.0 + 0.5 * s * t) * math.exp(
+                0.5 * (prob.rho - p.beta) * t)
+        if cls.case is Mu1Case.TWO_REAL_ROOTS:
+            root = math.sqrt(cls.discriminant)
+            c1 = (s + root) / (2.0 * root)
+            c2 = (s - root) / (2.0 * root)
+            return (c1 * math.exp(0.5 * (prob.rho - p.beta + root) * t)
+                    - c2 * math.exp(0.5 * (prob.rho - p.beta - root) * t))
+        c = 0.5 * math.sqrt(-cls.discriminant)
+        return math.exp(0.5 * (prob.rho - p.beta) * t) * (
+            math.cos(c * t) + s / (2.0 * c) * math.sin(c * t))
+    except OverflowError:
+        raise AccuracyError(
+            f"an exponential of the mu = 1 closed form overflows at t={t} "
+            f"(rho={prob.rho})") from None

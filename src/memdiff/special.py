@@ -31,8 +31,8 @@ through the complex exp, which is libm's ``cexp`` (``_exp``), and ``log``
 and ``lgamma`` are ``math`` calls, one element at a time.
 
 The series keeps no state between calls: a call computes the
-log-coefficients of each n as its walk reaches it, from a log-factorial
-table of its own, so no result depends on an earlier call.
+log-coefficients of each n as its walk reaches it, by ``lgamma`` calls, so
+no result depends on an earlier call and no table grows with k.
 
 ``reg_lower_inc_gamma`` is array-first: a one-point call runs the array
 engine on one element and costs 0.1-0.8 ms, so callers pass whole tables.
@@ -183,18 +183,17 @@ def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _log_coeffs(mu: float, kvals: list[int], n: int,
-                log_fact: list[float]) -> np.ndarray:
+def _log_coeffs(mu: float, kvals: list[int], n: int) -> np.ndarray:
     """Coefficient n of the series for each k of ``kvals``,
 
         lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),
 
-    where ``log_fact[m]`` is lgamma(m + 1.0) up to m = max(kvals) + n.  The
-    first two terms are read from that table; the values and the subtraction
-    order are those of three lgamma calls."""
+    three lgamma calls in that subtraction order, the middle one shared by
+    every k."""
     nm = n * (mu + 1.0)
-    return np.array([log_fact[k + n] - log_fact[n] - math.lgamma(nm + k + 1.0)
-                     for k in kvals])
+    log_n_fact = math.lgamma(n + 1.0)
+    return np.array([math.lgamma(k + n + 1.0) - log_n_fact
+                     - math.lgamma(nm + k + 1.0) for k in kvals])
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -274,8 +273,6 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     state[5] = np.where(zs[idx] < 0.0, -1.0, 1.0)
     ln_abs_z, total, comp, abs_sum, small_run, sign = state
     klist = kvals.tolist()
-    # ln m! for m = 0..max(k) + n, one entry appended per term
-    log_fact = [math.lgamma(m + 1.0) for m in range(klist[-1] + 1)]
 
     def fail(i: int, message: str, **info) -> None:
         values[idx[i]] = math.nan
@@ -285,9 +282,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
         for n in range(ctl.max_terms):
-            if n:
-                log_fact.append(math.lgamma(klist[-1] + n + 1.0))
-            log_term = _log_coeffs(mu, klist, n, log_fact)[rows] + n * ln_abs_z
+            log_term = _log_coeffs(mu, klist, n)[rows] + n * ln_abs_z
             over = log_term > 700.0
             # An overflowing pair's term is NaN, so it is never done; it fails.
             log_term[over] = math.nan

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, MemdiffError, ModeError, TruncationError
+from .errors import (AccuracyError, DomainError, MemdiffError, ModeError,
+                     TruncationError)
 from .resolvent import (Curve, CurveMethod, _validate_grid, series_S,
                         series_curve)
 from .symbols import KernelParams, ScalarProblem
@@ -37,23 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Interval length, retained mode count, and initial-datum coefficients
-    <u0, phi_n> for n = 1..n_modes."""
+    """Interval length and retained mode count of the Dirichlet Laplacian."""
 
     length: float
     n_modes: int
-    u0_coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise DomainError(f"length must be > 0, got {self.length}")
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
-        coeffs = tuple(float(c) for c in self.u0_coeffs)
-        if len(coeffs) != self.n_modes:
-            raise DomainError(
-                f"expected {self.n_modes} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "u0_coeffs", coeffs)
         try:
             top = self.eigenvalue(self.n_modes)
         except OverflowError:
@@ -106,9 +100,13 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
         raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
 
 
-def field(model: SpectralModel, params: KernelParams, t: float,
+def field(model: SpectralModel, params: KernelParams, u0_coeffs, t: float,
           x_grid) -> np.ndarray:
-    """u(t, x) = sum_n S_n(t) <u0, phi_n> phi_n(x) over the retained modes."""
+    """u(t, x) = sum_n S_n(t) <u0, phi_n> phi_n(x) over the retained modes,
+    with ``u0_coeffs`` the coefficients <u0, phi_n> for n = 1..n_modes."""
+    if len(u0_coeffs) != model.n_modes:
+        raise DomainError(
+            f"expected {model.n_modes} coefficients, got {len(u0_coeffs)}")
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     x = np.asarray(x_grid, dtype=float)
@@ -116,7 +114,7 @@ def field(model: SpectralModel, params: KernelParams, t: float,
         raise DomainError("x_grid must lie inside [0, length]")
     out = np.zeros_like(x)
     for (lam_n, phi), coeff, n in zip(
-            eigen_pairs(model), model.u0_coeffs, range(1, model.n_modes + 1)):
+            eigen_pairs(model), u0_coeffs, range(1, model.n_modes + 1)):
         if coeff == 0.0:
             continue
         try:
@@ -151,10 +149,10 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
         rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
         try:
             stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
-        except MemdiffError as exc:
+        except AccuracyError as exc:
             # A solution that is not finite names its row; any other
-            # failure of the shared march is charged to the first mode.
-            n = getattr(exc, "row", 0) + 1
+            # failure of the shared march is no one mode's and passes as is.
+            n = exc.row + 1
             raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
         grid = times
     else:

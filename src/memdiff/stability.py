@@ -30,8 +30,7 @@ classical hypothesis but is required: h_tilde(r) is negative on the real
 segment 0 < r < beta, so the argument-integral representation underlying
 the inequality starts from arg = pi rather than 0 there, and the bound
 genuinely fails below beta (e.g. (alpha, beta, mu) = (-0.2, 1, 0.5) at
-lambda ~ 0.43 e^{1.64 i} gives |arg h_tilde| = 2.47 > 2.45).  Above beta
-the sampled inequality holds with uniform margin.
+lambda ~ 0.43 e^{1.64 i} gives |arg h_tilde| = 2.47 > 2.45).
 """
 
 from __future__ import annotations
@@ -142,9 +141,16 @@ def theoretical_bound(params: KernelParams, omega: float) -> DecayBound:
         return DecayBound(rate=-params.beta, poly_coeff=0.0, poly_power=0.0,
                           uniformly_stable=params.beta > 0.0)
     aw = params.alpha * omega  # > 0 here
+    if not math.isfinite(aw):
+        raise DomainError(f"alpha * omega is not a finite float for "
+                          f"alpha={params.alpha}, omega={omega}")
     rate = -(params.beta - aw ** (1.0 / (params.mu + 1.0)))
+    try:
+        stable = params.beta ** (params.mu + 1.0) > aw
+    except OverflowError:  # beta^{mu+1} exceeds every float, aw included
+        stable = True
     return DecayBound(rate=rate, poly_coeff=aw, poly_power=params.mu + 1.0,
-                      uniformly_stable=params.beta ** (params.mu + 1.0) > aw)
+                      uniformly_stable=stable)
 
 
 def fit_decay_rate(curve: Curve) -> RateFit:
@@ -252,8 +258,11 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     """Sampled verification of the four symbol inequalities.
 
     Violations are data, not errors; a clean run reports zero for every
-    check.  The random stream is counter-based (Philox) keyed by ``seed``,
-    so reports are reproducible and the sampling may be split freely.
+    check.  A check whose margins are not finite floats (its region lies
+    past the float range, as at mu near 0) raises :class:`AccuracyError`
+    naming the check.  The random stream is counter-based (Philox) keyed by
+    ``seed``, so reports are reproducible and the sampling may be split
+    freely.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
     if seed < 0:
@@ -269,6 +278,11 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     checks = []
 
     def record(name: str, margins: np.ndarray, slack: float) -> None:
+        # A margin that is not finite is no sample; it never counts as clean.
+        invalid = np.count_nonzero(~np.isfinite(margins))
+        if invalid:
+            raise AccuracyError(f"{name}: {invalid} of {margins.size} sampled "
+                                "margins are not finite")
         worst = float(np.min(margins))
         checks.append(LemmaCheck(name, int(margins.size),
                                  int(np.count_nonzero(margins < -slack)), worst))
@@ -284,10 +298,17 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
 
     # |lambda^mu| >= 2|alpha| plus the |lambda| > beta floor (see module
     # docstring); both are needed for the shifted-symbol inequality.
-    r_min = max(1e-3, (2.0 * abs(alpha)) ** (1.0 / mu), beta * (1.0 + 1e-9))
-    lam_left = _sample_left_half(rng, n_samples, r_min)
-    ht = symbol_h_tilde(params, lam_left)
-    record("arg_h_tilde",
-           (1.0 + mu) * np.abs(np.angle(lam_left)) - np.abs(np.angle(ht)), 1e-10)
+    try:
+        r_min = max(1e-3, (2.0 * abs(alpha)) ** (1.0 / mu),
+                    beta * (1.0 + 1e-9))
+    except OverflowError:
+        r_min = math.inf
+    # Past the float range (mu near 0, say) the moduli or the symbol are not
+    # finite, and record refuses the margins that follow from them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_left = _sample_left_half(rng, n_samples, r_min)
+        ht = symbol_h_tilde(params, lam_left)
+        margins = (1.0 + mu) * np.abs(np.angle(lam_left)) - np.abs(np.angle(ht))
+    record("arg_h_tilde", margins, 1e-10)
 
     return LemmaReport(params, seed, tuple(checks))

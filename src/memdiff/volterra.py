@@ -104,7 +104,8 @@ def kernel_a(params: KernelParams, t):
     with every element equal to its one-point value bit for bit.  For that,
     the beta = 0 power is a per-element Python power: numpy's need not round
     like libm's.  The function is array-first: a one-point call runs the
-    array engine on one element and costs 0.1-0.8 ms.
+    array engine on one element and costs 0.1-0.8 ms.  A beta > 0 whose
+    beta^-mu is not a finite float raises :class:`DomainError`.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(np.isfinite(ts) & (ts >= 0.0))]
@@ -115,7 +116,13 @@ def kernel_a(params: KernelParams, t):
         a = 1.0 + params.alpha * powers.reshape(ts.shape) / math.gamma(
             params.mu + 1.0)
     else:
-        a = 1.0 + params.alpha * params.beta ** (-params.mu) * reg_lower_inc_gamma(
+        try:
+            scale = params.beta ** (-params.mu)
+        except OverflowError:
+            raise DomainError(
+                f"the kernel's factor beta^-mu is not a finite float for "
+                f"beta={params.beta}, mu={params.mu}") from None
+        a = 1.0 + params.alpha * scale * reg_lower_inc_gamma(
             params.mu, params.beta * ts)
     a = np.where(ts == 0.0, 1.0, a)
     return float(a) if ts.ndim == 0 else a

@@ -230,7 +230,7 @@ def test_criterion_7_spectral_consistency():
     params = KernelParams(1.0, 0.5, 0.5)
     rng = np.random.Generator(np.random.Philox(7))
     coeffs = tuple(rng.uniform(-1.0, 1.0, 16))
-    model = SpectralModel(math.pi, 16, coeffs)
+    model = SpectralModel(math.pi, 16)
 
     grid = np.arange(0.0, 4001.0) * 0.005  # [0, 20]
     for n in (1, 4, 16):
@@ -254,7 +254,7 @@ def test_criterion_7_spectral_consistency():
     growth = (check.c_min_doubled - check.c_min) / check.c_min
 
     x = np.linspace(0.0, math.pi, 2 ** 14 + 1)
-    u0 = field(model, params, 0.0, x)
+    u0 = field(model, params, coeffs, 0.0, x)
     h = x[1] - x[0]
     norm_sq = h / 3.0 * (u0[0] ** 2 + u0[-1] ** 2 + 4 * np.sum(u0[1:-1:2] ** 2)
                          + 2 * np.sum(u0[2:-2:2] ** 2))

@@ -100,12 +100,43 @@ MISSING = object()
     # a batch of 17 modes at the Volterra step bound
     (("norm-curve", *NORM, "--modes", "17", "--dt", "1e-6"), 64,
      "17 rows of 1000001 nodes exceed the batch bound"),
+    # a grid past what memory holds
+    (("scalar-curve", *GOLDEN, "--points", "1000000000000"), 64,
+     "--points 1000000000000 is more than memory can hold"),
+    (("norm-curve", *NORM[:6], "--points", "1000000000000"), 64,
+     "--points 1000000000000 is more than memory can hold"),
+    (("verify", *GOLDEN, "--points", "1000000000000"), 64,
+     "--points 1000000000000 is more than memory can hold"),
+    # beta^-mu of the Volterra kernel past the float range
+    (("scalar-curve", "-a", "1", "-b", "5e-324", "-m", "1", "-r", "-1",
+      "--points", "3", "--method", "volterra"), 64,
+     "the kernel's factor beta^-mu is not a finite float"),
+    (("norm-curve", "-a", "1", "-b", "5e-324", "-m", "1", "--points", "3"),
+     64, "the kernel's factor beta^-mu is not a finite float"),
+    (("verify", "-a", "1", "-b", "5e-324", "-m", "1", "-r", "-1",
+      "--points", "3"), 64,
+     "the kernel's factor beta^-mu is not a finite float"),
+    # the lemma suite's moduli (2|alpha|)^(1/mu) past the float range
+    (("verify", "-a", "1", "-b", "0", "-m", "0.0005", "-r", "-1",
+      "--points", "3"), 2, "arg_h_tilde: 10000 of 10000 sampled margins are "
+     "not finite"),
+    # alpha omega past the float range: no finite decay envelope
+    (("classify", "-a=-1e10", "-b", "1e300", "-m", "0.5", "-w=-1e300"), 64,
+     "alpha * omega is not a finite float"),
+    # a failure of the kernel table that every mode shares names no mode
+    (("norm-curve", "-a", "1", "-b", "1e200", "-m", "0.9", "--modes", "4",
+      "--tmax", "1", "--points", "3"), 2,
+     "incomplete gamma continued fraction did not converge"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
         "verify-tol-nan", "verify-tol-negative", "scalar-curve-out-missing",
         "norm-curve-out-missing", "verify-out-missing",
-        "norm-curve-length-1e-200", "norm-curve-batch-bound"])
+        "norm-curve-length-1e-200", "norm-curve-batch-bound",
+        "scalar-curve-points-1e12", "norm-curve-points-1e12",
+        "verify-points-1e12", "scalar-curve-beta-5e-324",
+        "norm-curve-beta-5e-324", "verify-beta-5e-324", "verify-mu-5e-4",
+        "classify-alpha-omega-1e310", "norm-curve-shared-kernel-table"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -114,6 +145,20 @@ def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     assert cp.stderr.startswith(f"memdiff: {prefix}")
     assert cp.stderr.count("\n") == 1
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("command", ["scalar-curve", "norm-curve", "verify"])
+def test_refusal_comes_before_grid_errors(command):
+    """An unsupported regime is refused (exit 3) before a bad grid is
+    reported (exit 64), on every command."""
+    rho = () if command == "norm-curve" else ("-r", "-1")
+    cp = run_cli(command, "-a", "-1", "-b", "1", "-m", "0.5", *rho,
+                 "--tmax", "0")
+    assert cp.returncode == 3
+    assert cp.stdout == ""
+    assert cp.stderr.startswith(
+        "unsupported regime (alpha=-1.0, beta=1.0, mu=0.5)")
+    assert cp.stderr.count("\n") == 1
 
 
 def test_huge_volterra_batch_is_refused_before_it_is_built():
@@ -155,6 +200,19 @@ class TestEvalML:
         cp = run_cli("eval-ml", "--mu", "0.5", "--k", "0", "--z", "1e9")
         assert cp.returncode == 2
         assert cp.stderr.strip()
+
+    def test_huge_k_builds_no_table_up_to_k(self):
+        # the series' log-coefficients need no log-factorial table from 0!
+        # up to (k + n)!
+        tracemalloc.start()
+        try:
+            cp = run_cli("eval-ml", "--k", "10000000", "-m", "0.5", "-z", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cp.returncode == 0
+        assert cp.stdout == "0\nterms=7\n"
+        assert peak < 10_000_000
 
     def test_usage_error_exits_64(self):
         cp = run_cli("eval-ml", "--mu", "1", "--k", "0")
@@ -305,6 +363,14 @@ class TestClassify:
         cp = run_cli("classify", "-a", "-1", "-b", "1", "-m", "0.5", "-w", "-1")
         assert cp.returncode == 0
         assert "regime: unsupported" in cp.stdout
+
+    def test_stable_where_beta_power_leaves_the_float_range(self):
+        # beta^(mu+1) = 1e380 overflows a float; it still exceeds
+        # alpha omega = 1e200
+        cp = run_cli("classify", "-a=-0.1", "-b", "1e200", "-m", "0.9",
+                     "-w=-1e201")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.endswith("uniformly_stable: true\n")
 
 
 class TestVerify:

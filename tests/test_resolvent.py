@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from memdiff import (ConvergenceError, Curve, CurveMethod, DomainError,
-                     Mu1Case, VolterraConfig, invert_transform,
+from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
+                     DomainError, Mu1Case, VolterraConfig, invert_transform,
                      laplace_S_hat, mu1_classify, mu1_closed_form,
                      series_S, series_curve, solve_volterra)
 from memdiff.resolvent import _series_grid
@@ -268,6 +268,15 @@ class TestMu1ClosedForm:
     def test_requires_mu_one(self):
         with pytest.raises(DomainError):
             mu1_closed_form(problem(1.0, 0.0, 0.5, -1.0), 1.0)
+
+    def test_overflow_is_an_accuracy_error(self):
+        # e^{(rho + sqrt(D)) t / 2} = e^{5098}: no float holds S(100)
+        with pytest.raises(AccuracyError, match="overflows at t=100.0"):
+            mu1_closed_form(problem(1.0, 0.0, 1.0, 50.0), 100.0)
+        # D = 4 alpha rho = -4e310: cos(c t) of an infinite c, NaN at t = 0
+        for t in (0.0, 1.0):
+            with pytest.raises(AccuracyError, match="discriminant"):
+                mu1_closed_form(problem(1e300, 0.0, 1.0, -1e10), t)
 
 
 class TestDampingRelation:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from memdiff import (DomainError, KernelParams, ModeError, ScalarProblem,
-                     SpectralModel, TruncationError,
+from memdiff import (ConvergenceError, DomainError, KernelParams, ModeError,
+                     ScalarProblem, SpectralModel, TruncationError,
                      VolterraConfig, eigen_pairs, field, mode_curve,
                      operator_norm_curve, series_S, series_curve,
                      solve_volterra)
@@ -16,10 +16,8 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
                             + 2.0 * np.sum(y[2:-2:2])))
 
 
-def make_model(L=math.pi, n_modes=4, coeffs=None):
-    if coeffs is None:
-        coeffs = [0.0] * n_modes
-    return SpectralModel(L, n_modes, tuple(coeffs))
+def make_model(L=math.pi, n_modes=4):
+    return SpectralModel(L, n_modes)
 
 
 class TestEigenPairs:
@@ -42,9 +40,10 @@ class TestEigenPairs:
 
     def test_model_validation(self):
         with pytest.raises(DomainError):
-            SpectralModel(0.0, 2, (1.0, 0.0))
+            SpectralModel(0.0, 2)
         with pytest.raises(DomainError):
-            SpectralModel(1.0, 2, (1.0,))
+            field(SpectralModel(1.0, 2), KernelParams(1.0, 1.0, 0.5), (1.0,),
+                  0.0, [0.0, 0.5])
         with pytest.raises(DomainError):
             make_model().eigenvalue(9)
 
@@ -85,7 +84,7 @@ class TestModeCurve:
 
     def test_cross_oracle_agreement(self):
         # first mode of the pi interval is the rho = -1 scalar problem
-        model = make_model(L=math.pi, n_modes=1, coeffs=[1.0])
+        model = make_model(L=math.pi, n_modes=1)
         params = KernelParams(1.0, 1.0, 0.5)
         grid = np.arange(0.0, 401.0) * 0.0025
         series = mode_curve(model, params, 1, grid, "series")
@@ -118,35 +117,38 @@ class TestModeCurve:
 
 class TestField:
     def test_time_zero_reproduces_truncated_datum(self):
-        model = make_model(L=math.pi, n_modes=3, coeffs=[1.0, 0.5, -0.25])
+        model = make_model(L=math.pi, n_modes=3)
+        coeffs = [1.0, 0.5, -0.25]
         params = KernelParams(1.0, 1.0, 0.5)
         x = np.linspace(0.0, math.pi, 33)
-        got = field(model, params, 0.0, x)
+        got = field(model, params, coeffs, 0.0, x)
         expected = np.zeros_like(x)
-        for (lam, phi), c in zip(eigen_pairs(model), model.u0_coeffs):
+        for (lam, phi), c in zip(eigen_pairs(model), coeffs):
             expected += c * phi(x)
         assert np.allclose(got, expected, atol=1e-14)
 
     def test_bad_time_is_an_argument_error(self):
         # checked even when no mode is evaluated
-        model = make_model(L=math.pi, n_modes=2, coeffs=[0.0, 0.0])
+        model = make_model(L=math.pi, n_modes=2)
         for t in (-1.0, math.nan):
             with pytest.raises(DomainError):
-                field(model, KernelParams(1.0, 1.0, 0.5), t, [0.0, 1.0])
+                field(model, KernelParams(1.0, 1.0, 0.5), [0.0, 0.0], t,
+                      [0.0, 1.0])
 
     def test_single_mode_field_is_scaled_eigenfunction(self):
-        model = make_model(L=math.pi, n_modes=2, coeffs=[1.0, 0.0])
+        model = make_model(L=math.pi, n_modes=2)
         params = KernelParams(1.0, 1.0, 0.5)
         x = np.linspace(0.0, math.pi, 17)
         s1 = series_S(ScalarProblem(params, -1.0), 1.0)
         phi1 = eigen_pairs(model)[0][1]
-        assert np.allclose(field(model, params, 1.0, x), s1 * phi1(x), atol=1e-14)
+        assert np.allclose(field(model, params, [1.0, 0.0], 1.0, x),
+                           s1 * phi1(x), atol=1e-14)
 
     def test_two_mode_combination_against_volterra(self):
-        model = make_model(L=math.pi, n_modes=2, coeffs=[1.0, 0.5])
+        model = make_model(L=math.pi, n_modes=2)
         params = KernelParams(1.0, 1.0, 0.5)
         x = np.linspace(0.0, math.pi, 9)
-        got = field(model, params, 1.0, x)
+        got = field(model, params, [1.0, 0.5], 1.0, x)
         expected = np.zeros_like(x)
         for n, c in ((1, 1.0), (2, 0.5)):
             curve = solve_volterra(ScalarProblem(params, -float(n * n)),
@@ -156,30 +158,29 @@ class TestField:
         assert np.max(np.abs(got - expected)) < 1e-4
 
     def test_parseval_at_time_zero(self):
-        model = make_model(L=math.pi, n_modes=5,
-                           coeffs=[1.0, 0.5, 0.0, -0.3, 0.1])
+        model = make_model(L=math.pi, n_modes=5)
+        coeffs = [1.0, 0.5, 0.0, -0.3, 0.1]
         params = KernelParams(1.0, 0.5, 0.5)
         x = np.linspace(0.0, math.pi, 2 ** 14 + 1)
-        u0 = field(model, params, 0.0, x)
+        u0 = field(model, params, coeffs, 0.0, x)
         norm_sq = simpson(u0 ** 2, x)
-        assert norm_sq == pytest.approx(sum(c * c for c in model.u0_coeffs),
-                                        abs=1e-8)
+        assert norm_sq == pytest.approx(sum(c * c for c in coeffs), abs=1e-8)
 
     def test_x_domain_checked(self):
-        model = make_model(coeffs=[1.0, 0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            field(model, KernelParams(1.0, 0.5, 0.5), 0.0, [-0.1, 0.5])
+            field(make_model(), KernelParams(1.0, 0.5, 0.5),
+                  [1.0, 0.0, 0.0, 0.0], 0.0, [-0.1, 0.5])
 
 
 class TestOperatorNormCurve:
     def test_time_zero_is_one(self):
-        model = make_model(L=math.pi, n_modes=3, coeffs=[1, 0, 0])
+        model = make_model(L=math.pi, n_modes=3)
         curve = operator_norm_curve(model, KernelParams(1.0, 0.5, 0.5),
                                     np.linspace(0.0, 1.0, 9))
         assert curve.values[0] == 1.0
 
     def test_single_mode_is_abs_mode_value(self):
-        model = make_model(L=math.pi, n_modes=1, coeffs=[1.0])
+        model = make_model(L=math.pi, n_modes=1)
         params = KernelParams(1.0, 1.0, 0.5)
         grid = np.linspace(0.0, 3.0, 13)
         curve = operator_norm_curve(model, params, grid)
@@ -189,7 +190,7 @@ class TestOperatorNormCurve:
     def test_norm_is_pointwise_mode_supremum(self):
         # mode ordering is NOT uniform in t (mode 1 crosses zero while mode 2
         # peaks), so only the definitional sup is asserted
-        model = make_model(L=math.pi, n_modes=8, coeffs=[1.0] + [0.0] * 7)
+        model = make_model(L=math.pi, n_modes=8)
         params = KernelParams(1.0, 0.5, 0.5)
         grid = np.arange(0.0, 501.0) * 0.01
         curve = operator_norm_curve(model, params, grid, method="volterra")
@@ -202,7 +203,7 @@ class TestOperatorNormCurve:
     def test_truncation_detected_when_last_mode_dominates(self):
         # a strongly negative kernel outside the admissible regimes makes
         # high modes grow fastest, parking the sup on the last retained mode
-        model = make_model(L=math.pi, n_modes=2, coeffs=[1.0, 0.0])
+        model = make_model(L=math.pi, n_modes=2)
         params = KernelParams(-4.0, 0.0, 0.5)
         grid = np.linspace(0.0, 2.0, 21)
         with pytest.raises(TruncationError):
@@ -237,6 +238,15 @@ class TestBatchedNormCurve:
                                 method="volterra", dt=5e-6)
         assert not isinstance(info.value, ModeError)
         assert str(info.value).startswith("17 rows of 1000001 nodes exceed")
+
+    def test_shared_kernel_table_failure_names_no_mode(self):
+        # P(mu, beta t) at beta = 1e200 fails for every mode at once
+        with pytest.raises(ConvergenceError) as info:
+            operator_norm_curve(make_model(), KernelParams(1.0, 1e200, 0.9),
+                                [0.0, 0.5, 1.0], method="volterra", dt=0.005)
+        assert not isinstance(info.value, ModeError)
+        assert str(info.value) == (
+            "incomplete gamma continued fraction did not converge")
 
     def test_failure_names_the_mode_that_fails_first(self):
         # mode 3 (rho = -9) goes non-finite from t = 110.2, mode 2 (rho = -4)

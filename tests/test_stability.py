@@ -58,6 +58,15 @@ class TestTheoreticalBound:
         assert not bound.uniformly_stable
         assert bound.rate > 0.0
 
+    def test_powers_past_the_float_range(self):
+        # beta^(mu+1) = 1e380 overflows a float but still exceeds
+        # alpha omega = 1e200
+        bound = theoretical_bound(KernelParams(-0.1, 1e200, 0.9), -1e201)
+        assert bound.uniformly_stable
+        # alpha omega = 1e310 itself overflows: no finite envelope
+        with pytest.raises(DomainError, match="alpha \\* omega is not a finite"):
+            theoretical_bound(KernelParams(-1e10, 1e300, 0.5), -1e300)
+
     def test_hypothesis_errors(self):
         with pytest.raises(HypothesisError):
             theoretical_bound(KernelParams(-1.0, 1.0, 0.5), omega=-1.0)
@@ -178,6 +187,16 @@ class TestLemmaPropertySuite:
     def test_unsupported_regime_rejected(self):
         with pytest.raises(HypothesisError):
             lemma_property_suite(KernelParams(-1.0, 1.0, 0.5), n_samples=10)
+
+    @pytest.mark.parametrize("params", [
+        KernelParams(1.0, 0.0, 0.0005),  # (2|alpha|)^(1/mu) overflows
+        KernelParams(1.0, 0.0, 0.00099),  # it is finite, 10^6 times it not
+        KernelParams(1e300, 0.0, 1.0),  # the moduli are finite, h_tilde not
+    ])
+    def test_margins_past_the_float_range_are_no_clean_result(self, params):
+        with pytest.raises(AccuracyError, match=r"^arg_h_tilde: \d+ of 100 "
+                           "sampled margins are not finite$"):
+            lemma_property_suite(params, n_samples=100)
 
     def test_report_serializes(self):
         report = lemma_property_suite(self.CONFIGS[1], n_samples=100, seed=1)
