@@ -24,7 +24,10 @@ The series is written once, as an engine over arrays of (k, z) pairs
 (``_prabhakar_pairs``): all pairs step through n together in numpy add,
 multiply, ``abs`` and ``exp``, and each keeps the operation order of its
 own sequential walk, so a batch equals one-pair calls bit for bit and error
-for error.  ``_prabhakar_scaled`` is the one-pair call.  Every
+for error.  A pair's result is recorded at the step it stops, but the pair
+leaves the arrays only when they are compacted, once at most a quarter of
+them is still live: one compaction every few steps, not one at every step
+where some pair stops.  ``_prabhakar_scaled`` is the one-pair call.  Every
 transcendental result carries libm's bits, because numpy's real exp and log
 need not round like libm's: ``exp`` is one numpy call on the whole array
 through the complex exp, which is libm's ``cexp`` (``_exp``), and ``log``
@@ -32,7 +35,10 @@ and ``lgamma`` are ``math`` calls, one element at a time.
 
 The series keeps no state between calls: a call computes the
 log-coefficients of each n as its walk reaches it, by ``lgamma`` calls, so
-no result depends on an earlier call and no table grows with k.
+no result depends on an earlier call and no table grows with k.  Within a
+call, lgamma(k+n+1) at step n is lgamma((k+1)+(n-1)+1) of the step before,
+so consecutive steps share it for every k but the largest; a call computes
+its coefficients for every k from its least to its largest.
 
 ``reg_lower_inc_gamma`` is array-first: a one-point call runs the array
 engine on one element and costs 0.1-0.8 ms, so callers pass whole tables.
@@ -183,17 +189,20 @@ def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _log_coeffs(mu: float, kvals: list[int], n: int) -> np.ndarray:
+def _log_coeffs(mu: float, kvals: list[int], n: int,
+                upper: list[float] | None = None) -> np.ndarray:
     """Coefficient n of the series for each k of ``kvals``,
 
         lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),
 
     three lgamma calls in that subtraction order, the middle one shared by
-    every k."""
+    every k.  ``upper``, when given, holds the first one for each k."""
     nm = n * (mu + 1.0)
     log_n_fact = math.lgamma(n + 1.0)
-    return np.array([math.lgamma(k + n + 1.0) - log_n_fact
-                     - math.lgamma(nm + k + 1.0) for k in kvals])
+    if upper is None:
+        upper = [math.lgamma(k + n + 1.0) for k in kvals]
+    return np.array([first - log_n_fact - math.lgamma(nm + k + 1.0)
+                     for first, k in zip(upper, kvals)])
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -241,6 +250,42 @@ def _sum_step(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
     return value, small_run >= _CONSECUTIVE_SMALL
 
 
+def _sum_block(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
+               terms: np.ndarray, abs_terms: np.ndarray, rel_tol: float):
+    """Every column of ``terms`` (rows x width) through :func:`_sum_step`,
+    row by row, in one pass; ``total``, ``comp`` and ``small_run`` are the
+    state before column 0 and are not changed.
+
+    Returns ``(totals, comps, small_runs, values, done)``, each shaped like
+    ``terms``: column j is the state and result after j + 1 calls of
+    :func:`_sum_step`, bit for bit.  The two-sum is a chain of error-free
+    transformations, so the running totals are one in-order
+    ``np.add.accumulate`` along each row, each column's rounding error
+    follows from consecutive totals, and a second accumulate adds the
+    errors in the same order.  A run of small terms counts back to the last
+    column that was not small, or on into the run carried in."""
+    rows, width = terms.shape
+    totals = np.empty((rows, width + 1))
+    totals[:, 0] = total
+    totals[:, 1:] = terms
+    totals = np.add.accumulate(totals, axis=1)
+    before, t = totals[:, :-1], totals[:, 1:]
+    back = t - before
+    comps = np.empty((rows, width + 1))
+    comps[:, 0] = comp
+    comps[:, 1:] = (before - (t - back)) + (terms - back)
+    comps = np.add.accumulate(comps, axis=1)[:, 1:]
+    values = t + comps
+    cols = np.arange(width, dtype=float)
+    # The last column that was not small, at or before each column; the
+    # carried run puts it at -1 - small_run before column 0.
+    last_big = np.maximum.accumulate(np.where(
+        abs_terms < rel_tol * np.abs(values), -1.0 - small_run[:, None], cols),
+        axis=1)
+    small_runs = cols - last_big
+    return t, comps, small_runs, values, small_runs >= _CONSECUTIVE_SMALL
+
+
 def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
                      ctl: SeriesControl):
     """k! * E(mu, k; z) for every pair (ks[i], zs[i]), in one numpy pass.
@@ -250,8 +295,8 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     failed, whose values are NaN.  All pairs step through n together; each
     pair runs the arithmetic of its own sequential walk (Neumaier sum,
     ``_CONSECUTIVE_SMALL`` stopping rule, error estimate), in the same
-    operation order, and is dropped when it converges or fails, so its
-    results and its error are those of a call on that pair alone.
+    operation order, and its result or error is recorded once, when it
+    converges or fails, so they are those of a call on that pair alone.
     """
     size = zs.size
     values = np.ones(size)
@@ -261,28 +306,37 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     idx = np.flatnonzero(zs != 0.0)  # z = 0 sums to its first term, 1
     if not idx.size:
         return values, ests, n_terms, failures
-    # Python's sort, not numpy's: numpy's pages in its sorting kernels,
-    # about 0.75 MB of resident memory.
-    kvals = np.array(sorted(set(ks[idx].tolist())), dtype=np.int64)
-    rows = np.searchsorted(kvals, ks[idx])
-    # One row per quantity, one column per live pair, compressed together:
+    k_live = ks[idx]
+    k_min = int(k_live.min())
+    # Coefficients are computed for every k from min k to max k, and
+    # rows[i] is pair i's place in that range.
+    kvals = list(range(k_min, int(k_live.max()) + 1))
+    rows = k_live - k_min
+    # One row per quantity, one column per pair, compressed together:
     # ln|z|, running sum, compensation, sum of |terms|, run of small terms,
     # sign of z.
     state = np.zeros((6, idx.size))
     state[0] = _libm(math.log, np.abs(zs[idx]))
     state[5] = np.where(zs[idx] < 0.0, -1.0, 1.0)
     ln_abs_z, total, comp, abs_sum, small_run, sign = state
-    klist = kvals.tolist()
+    # lgamma(k + n + 1) for each k of kvals: coefficient n's first lgamma,
+    # which step n + 1 shares for all but the largest k.
+    upper = [math.lgamma(k + 1.0) for k in kvals]
+    # Pairs that have not stopped.  A stopped pair stays in the arrays until
+    # at most a quarter of them is alive, so its result is recorded once.
+    alive = np.ones(idx.size, dtype=bool)
 
     def fail(i: int, message: str, **info) -> None:
         values[idx[i]] = math.nan
         failures[int(idx[i])] = ConvergenceError(message.format(
-            z=float(zs[idx[i]]), mu=mu, k=int(kvals[rows[i]])), **info)
+            z=float(zs[idx[i]]), mu=mu, k=int(ks[idx[i]])), **info)
 
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
         for n in range(ctl.max_terms):
-            log_term = _log_coeffs(mu, klist, n)[rows] + n * ln_abs_z
+            log_term = _log_coeffs(mu, kvals, n, upper)[rows] + n * ln_abs_z
+            upper.append(math.lgamma(kvals[-1] + n + 2.0))
+            del upper[0]
             over = log_term > 700.0
             # An overflowing pair's term is NaN, so it is never done; it fails.
             log_term[over] = math.nan
@@ -293,25 +347,31 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
             abs_sum += abs_term
             value, done = _sum_step(total, comp, small_run, term, abs_term,
                                     ctl.rel_tol)
+            over &= alive
+            done &= alive
             stop = done | over
-            if stop.any():
-                for i in over.nonzero()[0].tolist():
-                    fail(i, "series term overflows for z={z} (mu={mu}, k={k})",
-                         reason="overflow", last_term=math.inf, n_terms=n)
-                # Error estimate calibrated against 50-digit references over
-                # a 400-case stress grid: the true error stays below
-                # 1.2e-15 * abs_sum, so 1e-14 carries ~9x margin.
-                finished = idx[done]
-                values[finished] = value[done]
-                ests[finished] = 1e-14 * abs_sum[done]
-                n_terms[finished] = n + 1
-                keep = ~stop
+            if not stop.any():
+                continue
+            for i in over.nonzero()[0].tolist():
+                fail(i, "series term overflows for z={z} (mu={mu}, k={k})",
+                     reason="overflow", last_term=math.inf, n_terms=n)
+            # Error estimate calibrated against 50-digit references over a
+            # 400-case stress grid: the true error stays below 1.2e-15 *
+            # abs_sum, so 1e-14 carries ~9x margin.
+            finished = idx[done]
+            values[finished] = value[done]
+            ests[finished] = 1e-14 * abs_sum[done]
+            n_terms[finished] = n + 1
+            alive &= ~stop
+            n_alive = np.count_nonzero(alive)
+            if not n_alive:
+                return values, ests, n_terms, failures
+            if 4 * n_alive <= idx.size:
                 state, idx, rows, abs_term = (
-                    state[:, keep], idx[keep], rows[keep], abs_term[keep])
-                if not idx.size:
-                    return values, ests, n_terms, failures
+                    state[:, alive], idx[alive], rows[alive], abs_term[alive])
                 ln_abs_z, total, comp, abs_sum, small_run, sign = state
-    for i in range(idx.size):
+                alive = np.ones(idx.size, dtype=bool)
+    for i in alive.nonzero()[0].tolist():
         fail(i, f"series did not meet its truncation criterion within "
                 f"{ctl.max_terms} terms for z={{z}} (mu={{mu}}, k={{k}})",
              reason="max_terms", last_term=float(abs_term[i]),

@@ -43,6 +43,13 @@ batch it is marched in, and :func:`solve_volterra` is the batch of one.
 The in-place update applies the same IEEE operations as
 ``(1 + rho dt (a_i / 2 + dot)) / denom``, only with the operands of ``+``
 and ``*`` swapped, which does not change their rounding.
+No BLAS call takes more than ``_DOT_CHUNK`` = 10,000 elements: OpenBLAS
+splits a longer ``ddot`` across its threads, and the rounding would then
+depend on their number (``OPENBLAS_NUM_THREADS``).  A longer history sum is
+the in-order sum of dots over chunks of at most 10,000 elements, from the
+oldest, in both loops and in the same order, so a march of at most 10,001
+steps takes one dot per step and keeps its bits, and a longer one does not
+depend on the thread count or on its batch.
 A matrix-vector product (``@`` on the batch), ``sum``, ``math.fsum``, a
 reciprocal of the denominator and fused forms regroup or reround the
 arithmetic and are not used.  The march is causal, so the first n + 1 values
@@ -73,6 +80,8 @@ _MAX_STEPS = 10**6
 # Most floats one batch's table of rows may hold: 16 rows at the step bound,
 # 128 MB.
 _MAX_TABLE = 16 * (_MAX_STEPS + 1)
+# Longest dot one BLAS call takes (see the module docstring).
+_DOT_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,19 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
             _march_row(a_rev, half_a, float(rho_dt[0]), float(denom[0]), u[0])
         else:
             hist = np.empty(rhos.size)
+            part = np.empty(rhos.size)
+            one_dot = _DOT_CHUNK + 1  # the last step whose history is one dot
             for i in range(2, n + 1):
                 # (1 + rho dt (a_i / 2 + dot)) / denom, in place
-                np.vecdot(a_rev[n - i + 1:n], u[:, 1:i], out=hist)
+                if i <= one_dot:
+                    np.vecdot(a_rev[n - i + 1:n], u[:, 1:i], out=hist)
+                else:
+                    hist.fill(0.0)
+                    for lo in range(1, i, _DOT_CHUNK):
+                        hi = min(i, lo + _DOT_CHUNK)
+                        np.vecdot(a_rev[n - i + lo:n - i + hi], u[:, lo:hi],
+                                  out=part)
+                        hist += part
                 hist += half_a[i]
                 hist *= rho_dt
                 hist += 1.0
@@ -188,9 +207,15 @@ def _march_row(a_rev, half_a: list, rho_dt: float, denom: float,
     and the same rounded operations as a row of the batched loop, without
     its per-step array overhead."""
     n = row.size - 1
-    for i in range(2, n + 1):
+    for i in range(2, min(n, _DOT_CHUNK + 1) + 1):
         hist = half_a[i] + float(a_rev[n - i + 1:n].dot(row[1:i]))
         row[i] = (1.0 + rho_dt * hist) / denom
+    for i in range(_DOT_CHUNK + 2, n + 1):
+        dot = 0.0
+        for lo in range(1, i, _DOT_CHUNK):
+            hi = min(i, lo + _DOT_CHUNK)
+            dot += float(a_rev[n - i + lo:n - i + hi].dot(row[lo:hi]))
+        row[i] = (1.0 + rho_dt * (half_a[i] + dot)) / denom
 
 
 def solve_volterra(prob: ScalarProblem, cfg: VolterraConfig) -> Curve:

@@ -503,3 +503,23 @@ class TestParserBuiltOnce:
         lines = cp.stdout.splitlines()
         assert lines[0] == "0"
         assert int(lines[-1]) > 0  # the count sees the parser main builds
+
+
+@pytest.mark.parametrize("argv", [
+    # 12,000 steps: history dots longer than the 10,000 elements past which
+    # OpenBLAS splits a ddot across its threads
+    ("scalar-curve", "-a", "1", "-b", "0.5", "-m", "0.5", "-r", "-1",
+     "--method", "volterra", "--tmax", "60", "--points", "7", "--dt",
+     "0.005"),
+    # the batched loop, two rows
+    ("norm-curve", "-a", "1", "-b", "0.5", "-m", "0.5", "--modes", "2",
+     "--tmax", "60", "--points", "7", "--dt", "0.005"),
+])
+def test_volterra_output_does_not_depend_on_blas_threads(argv, monkeypatch):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        cp = run_cli_process(*argv)
+        assert cp.returncode == 0, cp.stderr
+        outputs.append(cp.stdout)
+    assert outputs[0] == outputs[1]

@@ -8,8 +8,10 @@ from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
                      DomainError, Mu1Case, VolterraConfig, invert_transform,
                      laplace_S_hat, mu1_classify, mu1_closed_form,
                      series_S, series_curve, solve_volterra)
+from memdiff import resolvent
 from memdiff.resolvent import _series_grid
-from memdiff.special import DEFAULT_SERIES_CONTROL
+from memdiff.special import (DEFAULT_SERIES_CONTROL, SeriesControl,
+                             _prabhakar_scaled)
 from conftest import curve_sweep_cases, error_record, problem
 
 
@@ -290,3 +292,119 @@ class TestDampingRelation:
                 contour_scale=2.0 * (abs(prob.rho) + prob.params.beta))
             assert resid < 1e-8
             assert lifted == pytest.approx(inverted, abs=1e-6)
+
+
+def sequential_walk(prob, t: float, ctl):
+    """S(t) by the outer series on Python floats, one k at a time: the walk
+    the grid engine runs by blocks.  Returns the value or the
+    ConvergenceError of the time, and the k it stopped at (None where no
+    term was taken or none stopped it)."""
+    if t == 0.0:
+        return 1.0, None
+    p = prob.params
+    try:
+        z = p.alpha * prob.rho * t ** (p.mu + 1.0)
+    except OverflowError:
+        return ConvergenceError(f"t^(mu+1) overflows at t={t} (mu={p.mu})",
+                                reason="overflow", last_term=math.inf,
+                                n_terms=0), None
+    c = (prob.rho + p.beta) * t
+    damp = math.exp(-p.beta * t)
+    prefactor, total, comp, est, small_run = 1.0, 0.0, 0.0, 0.0, 0
+    for k in range(ctl.max_terms):
+        try:
+            scaled, scaled_est, _ = _prabhakar_scaled(p.mu, k, z, ctl)
+        except ConvergenceError as exc:
+            return exc, k
+        term = prefactor * scaled
+        if not math.isfinite(term):
+            return ConvergenceError(
+                f"resolvent series term {k} overflows at t={t}",
+                reason="overflow", last_term=math.inf, n_terms=k + 1), k
+        est = est + (abs(prefactor) * scaled_est + abs(term) * 1e-15)
+        # Knuth's two-sum
+        s = total + term
+        back = s - total
+        comp += (total - (s - back)) + (term - back)
+        total = s
+        value = total + comp
+        small_run = small_run + 1 if abs(term) < ctl.rel_tol * abs(value) else 0
+        if small_run >= 3:
+            s_t, est_s = damp * value, damp * est
+            if est_s > 2e-8 and est_s > 1e-7 * abs(s_t):
+                return ConvergenceError(
+                    f"cancellation exhausted double precision at t={t}: "
+                    f"estimated error {est_s:.2e} on S of magnitude "
+                    f"{abs(s_t):.2e}", reason="precision", last_term=est_s,
+                    n_terms=k + 1), k
+            return s_t, k
+        prefactor = prefactor * (c / (k + 1.0))
+    return ConvergenceError(
+        f"resolvent series did not converge within {ctl.max_terms} terms "
+        f"at t={t}", reason="max_terms", last_term=abs(term),
+        n_terms=ctl.max_terms), None
+
+
+class TestSeriesGridAgainstSequentialWalk:
+    """The block pass of _series_grid equals a per-k walk for every block
+    size, with stops on a block's first and last column and a max_terms
+    that is not a multiple of the block size."""
+
+    CASES = [
+        # converging everywhere, stops spread over k
+        ((1.0, 0.5, 0.5, -1.0), 6.0, SeriesControl()),
+        # precision failures past t = 3.2
+        ((1.0, 0.5, 0.5, -4.0), 5.0, SeriesControl()),
+        # c^k / k! overflows at k = 3
+        ((1.0, 1e150, 0.5, -1.0), 6.0, SeriesControl()),
+        # 40 terms: late times fail on max_terms, inner or outer
+        ((0.7, 0.2, 0.8, -2.0), 12.0, SeriesControl(max_terms=40)),
+        ((-0.3, 1.5, 0.4, -2.5), 9.0, SeriesControl(rel_tol=1e-6,
+                                                     max_terms=40)),
+        # the inner series fails at k = 0: its terms overflow, or it needs
+        # more than 40 terms
+        ((1e300, 0.0, 0.5, 1.0), 2.0, SeriesControl(max_terms=40)),
+        ((1e6, 0.0, 1.0, 1e3), 2.0, SeriesControl(max_terms=40)),
+    ]
+
+    # Message heads of the failures, outer walk first, then inner series.
+    SOURCES = ("cancellation", "resolvent series term",
+               "resolvent series did not", "series term", "series did not")
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        out = []
+        for params, tmax, ctl in self.CASES:
+            prob = problem(*params)
+            grid = np.linspace(0.0, tmax, 25)
+            out.append((prob, grid, ctl, [sequential_walk(prob, float(t), ctl)
+                                          for t in grid]))
+        return out
+
+    @pytest.mark.parametrize("block", [1, 3, 16, 32])
+    def test_block_pass_is_the_sequential_walk(self, walks, block,
+                                               monkeypatch):
+        monkeypatch.setattr(resolvent, "_K_BLOCK", block)
+        ends, reasons, sources = set(), set(), set()
+        assert block == 1 or any(ctl.max_terms % block
+                                 for _, _, ctl, _ in walks)
+        for prob, grid, ctl, want in walks:
+            values, failures = _series_grid(prob, grid, ctl)
+            for i, (w, k) in enumerate(want):
+                if isinstance(w, ConvergenceError):
+                    assert error_record(failures[i]) == error_record(w), i
+                    assert math.isnan(values[i])
+                    reasons.add(w.reason)
+                    sources.add(next(head for head in self.SOURCES
+                                     if str(w).startswith(head)))
+                else:
+                    assert i not in failures
+                    assert float.hex(float(values[i])) == float.hex(w), i
+                if k is not None:
+                    ends.add(k % block)
+            assert len(failures) == sum(isinstance(w, ConvergenceError)
+                                        for w, _ in want)
+        assert reasons == {"precision", "overflow", "max_terms"}
+        assert sources == set(self.SOURCES)
+        # stops on the first and the last column of a block
+        assert {0, block - 1} <= ends

@@ -328,3 +328,135 @@ class TestCoefficientCache:
         assert float.hex(value) == "0x1.6222346e9130ep+49"
         assert float.hex(est) == "0x1.f2661497c174bp+2"
         assert n_terms == 68
+
+
+def hexes(a) -> list[str]:
+    return [float.hex(v) for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def sum_steps(total, comp, small_run, terms, rel_tol):
+    """Column by column through _sum_step: the per-column state and result
+    that _sum_block must reproduce."""
+    total, comp, small_run = total.copy(), comp.copy(), small_run.copy()
+    abs_terms = np.abs(terms)
+    cols = {name: [] for name in ("totals", "comps", "runs", "values", "done")}
+    for j in range(terms.shape[1]):
+        value, done = special._sum_step(total, comp, small_run,
+                                        terms[:, j].copy(), abs_terms[:, j],
+                                        rel_tol)
+        for name, col in zip(cols, (total, comp, small_run, value, done)):
+            cols[name].append(col.copy())
+    return tuple(np.stack(cols[name], axis=1) for name in cols)
+
+
+class TestSumBlock:
+    """Column j of _sum_block is j + 1 calls of _sum_step, bit for bit."""
+
+    def check(self, total, comp, small_run, terms, rel_tol):
+        before = (total.copy(), comp.copy(), small_run.copy())
+        with np.errstate(all="ignore"):
+            got = special._sum_block(total, comp, small_run, terms,
+                                     np.abs(terms), rel_tol)
+            want = sum_steps(total, comp, small_run, terms, rel_tol)
+        for name, g, w in zip(("totals", "comps", "runs", "values", "done"),
+                              got, want):
+            assert g.shape == terms.shape, name
+            assert hexes(g) == hexes(w), name
+        # the state passed in is not changed
+        for a, b in zip((total, comp, small_run), before):
+            assert hexes(a) == hexes(b)
+        return got
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(3)
+        terms = rng.standard_normal((9, 32)) * 10.0 ** rng.integers(
+            -20, 20, (9, 32))
+        self.check(rng.standard_normal(9) * 1e3, rng.standard_normal(9) * 1e-14,
+                   np.zeros(9), terms, 1e-12)
+
+    def test_cancelling_rows_that_stop(self):
+        # large terms that cancel, then a tail that falls below rel_tol
+        k = np.arange(24.0)
+        tail = 0.5 ** k
+        rows = np.stack([
+            np.where(k < 6, (-1.0) ** k * 1e16, tail),
+            np.where(k % 2 == 0, 1e15, -1e15) + tail,
+            (-1.0) ** k * 3.0 ** -k,
+            np.concatenate([[1.0, 1e20, -1e20], tail[3:]]),
+        ])
+        got = self.check(np.zeros(4), np.zeros(4), np.zeros(4), rows, 1e-3)
+        done = got[4]
+        assert done[[0, 2, 3]].any(axis=1).all()
+
+    def test_overflow_and_nan_terms(self):
+        terms = np.array([
+            [1e308, 1e308, 1.0, 1e-30, 1e-30, 1e-30],
+            [1.0, math.nan, 1e-30, 1e-30, 1e-30, 1e-30],
+            [1.0, math.inf, -math.inf, 1e-30, 1e-30, 1e-30],
+            [-1e308, -1e308, 1e-30, 1e-30, 1e-30, 1e-30],
+            [1.0, 1e-30, 1e-30, 1e-30, math.nan, 1e-30],
+        ])
+        got = self.check(np.zeros(5), np.zeros(5), np.zeros(5), terms, 1e-12)
+        totals, comps, runs, values, done = got
+        assert not done[:4].any()  # a sum that is not finite never stops
+        assert done[4, 3] and not np.isfinite(values[:4, -1]).any()
+
+    @pytest.mark.parametrize("carried", [1, 2])
+    def test_carried_run_across_a_block_boundary(self, carried):
+        # Block A ends with `carried` small terms; block B completes the run
+        # of three in its first 3 - carried columns.
+        small = 1e-20
+        a = np.full((2, 6), small)
+        a[:, :6 - carried] = [1.0, 0.5, 0.25, 2.0, 3.0, 0.7][:6 - carried]
+        b = np.full((2, 5), small)
+        b[1, 0] = 0.1  # the second row's run restarts
+        zeros = np.zeros(2)
+        first = self.check(zeros, zeros, zeros, a, 1e-12)
+        runs = first[2][:, -1]
+        assert runs.tolist() == [float(carried)] * 2
+        second = self.check(first[0][:, -1], first[1][:, -1], runs, b, 1e-12)
+        done = second[4]
+        assert done[0].tolist().index(True) == 2 - carried
+        assert done[1].tolist().index(True) == 3
+        # one pass over both blocks is the same as two
+        both = self.check(zeros, zeros, zeros, np.hstack([a, b]), 1e-12)
+        for g, h in zip(both, second):
+            assert hexes(g[:, 6:]) == hexes(h)
+
+
+class TestLazyCompaction:
+    """A stopped pair stays in the engine's arrays until at most a quarter
+    of them is alive; each result and failure is still recorded once, as
+    the one-pair call records it."""
+
+    def test_mixed_batch_equals_one_pair_calls(self):
+        ctl = SeriesControl(max_terms=16)
+        # early convergers (small |z|, stopping at different n), overflowing
+        # pairs (huge z), and pairs that need more than 16 terms
+        converge = [(0, 0.01), (1, -0.02), (2, 0.05), (3, 0.001), (4, 0.1),
+                    (0, -0.2), (5, 0.3), (6, 0.002), (1, 0.5), (7, -0.04),
+                    (2, 0.8), (3, -0.6)]
+        overflow = [(0, 1e300), (5, 1e250), (2, -1e200)]
+        exhaust = [(0, 80.0), (4, 60.0), (1, -40.0)]
+        pairs = converge + overflow[:1] + exhaust[:1] + overflow[1:] \
+            + exhaust[1:]
+        ks = np.array([k for k, _ in pairs])
+        zs = np.array([z for _, z in pairs])
+        for mu in (0.3, 0.5, 1.0):
+            values, ests, n_terms, failures = special._prabhakar_pairs(
+                mu, ks, zs, ctl)
+            reasons = []
+            for i, (k, z) in enumerate(pairs):
+                try:
+                    one = special._prabhakar_scaled(mu, k, z, ctl)
+                except ConvergenceError as exc:
+                    assert error_record(failures[i]) == error_record(exc)
+                    assert math.isnan(values[i])
+                    reasons.append(exc.reason)
+                    continue
+                assert i not in failures
+                assert (hexes([values[i], ests[i]]), int(n_terms[i])) == (
+                    hexes(one[:2]), one[2])
+            assert reasons.count("overflow") == 3
+            assert reasons.count("max_terms") == 3
+            assert len(failures) == 6

@@ -272,6 +272,28 @@ class TestKernelTable:
             kernel_a(KernelParams(1.0, 1.0, 0.5), np.array([0.0, 0.1, -0.1]))
 
 
+def chunked_march(a, rho, dt):
+    """One row on the table ``a`` with every history sum taken as in-order
+    dots of at most 10,000 elements, added left to right."""
+    n = a.size - 1
+    a_rev = a[::-1].copy()
+    denom = 1.0 - 0.5 * rho * dt
+    u = np.empty(n + 1)
+    u[0] = 1.0
+    for i in range(1, n + 1):
+        hist = 0.5 * a[i]
+        if i > 1:
+            dots = [np.dot(a_rev[n - i + lo:n - i + min(i, lo + 10_000)],
+                           u[lo:min(i, lo + 10_000)])
+                    for lo in range(1, i, 10_000)]
+            dot = dots[0]
+            for d in dots[1:]:
+                dot += d
+            hist += dot
+        u[i] = (1.0 + rho * dt * hist) / denom
+    return u
+
+
 class TestBatchedMarch:
     @pytest.mark.parametrize("params,rho", [(KernelParams(1.0, 1.0, 0.5), -2.0),
                                             (KernelParams(-0.2, 0.0, 0.3), -9.0),
@@ -329,6 +351,21 @@ class TestBatchedMarch:
                            match=f"{rows} rows of {n_steps + 1} nodes exceed"):
             solve_volterra_batch(KernelParams(1.0, 0.5, 0.5), [-1.0] * rows,
                                  VolterraConfig(0.005, n_steps))
+
+    def test_long_history_sums_are_in_order_chunks(self):
+        # 20,050 steps: the last history sums take three chunks.  Both loops
+        # sum them in the same order, so a row still does not depend on its
+        # batch, nor on the BLAS thread count.
+        params, rhos, dt, n = KernelParams(1.0, 0.5, 0.5), [-1.0, -2.0], \
+            0.005, 20_050
+        a = kernel_a(params, np.arange(n + 1) * dt)
+        batch = solve_volterra_batch(params, rhos, VolterraConfig(dt, n))
+        for row, rho in zip(batch, rhos):
+            want = chunked_march(a, rho, dt)
+            one = solve_volterra(ScalarProblem(params, rho),
+                                 VolterraConfig(dt, n))
+            assert np.array_equal(one.values, want)
+            assert np.array_equal(row, want)
 
     def test_short_solve_is_a_prefix_of_the_long_one(self):
         prob = problem(1.0, 1.0, 0.5, -2.0)
