@@ -27,7 +27,7 @@ from .spectral import (SpectralModel, eigen_pairs, field, mode_curve,
 from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         RateFit, Regime, RegimeClass, classify,
                         fit_decay_rate, lemma_property_suite,
-                        theoretical_bound, verify_bound)
+                        theoretical_bound, verify_bound, verify_problem)
 from .symbols import (KernelParams, ScalarProblem, laplace_S_hat,
                       laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
 from .volterra import (VolterraConfig, kernel_a, solve_volterra,
@@ -47,9 +47,9 @@ __all__ = [
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
     "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
-    "mode_curve", "mu1_classify",
-    "mu1_closed_form", "operator_norm_curve", "prabhakar_ml",
-    "reg_lower_inc_gamma", "series_S", "series_curve", "solve_volterra",
-    "solve_volterra_batch", "solve_volterra_on_grid", "symbol_g", "symbol_h",
-    "symbol_h_tilde", "theoretical_bound", "verify_bound", "volterra_grid",
+    "mode_curve", "mu1_classify", "mu1_closed_form", "operator_norm_curve",
+    "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
+    "solve_volterra", "solve_volterra_batch", "solve_volterra_on_grid",
+    "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",
+    "verify_bound", "verify_problem", "volterra_grid",
 ]

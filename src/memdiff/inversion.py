@@ -105,10 +105,11 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
     if bad.size:
         raise DomainError(f"inversion requires t > 0, got {float(bad[0])}")
     radius = max(contour_scale, min(cfg.n_nodes / 5.0, 16.0))
-    lam, weights = _contour(times, cfg.n_nodes, radius)
-    vals = np.asarray(transform(lam), dtype=np.complex128)
-    # An overflowing sum is reported through its non-finite value.
+    # A contour, transform or sum that overflows (t near 0, say) is reported
+    # through the sum's non-finite value.
     with np.errstate(all="ignore"):
+        lam, weights = _contour(times, cfg.n_nodes, radius)
+        vals = np.asarray(transform(lam), dtype=np.complex128)
         total = np.sum(np.exp(lam * times[..., None]) * vals * weights, axis=-1)
     if times.ndim == 0:
         return float(total.real), float(abs(total.imag))

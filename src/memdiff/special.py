@@ -133,7 +133,14 @@ def reg_lower_inc_gamma(mu: float, x):
         out[low] = _inc_gamma_series(mu, flat[low]) * front(flat[low])
     high = np.flatnonzero(flat >= mu + 1.0)
     if high.size:
-        out[high] = 1.0 - front(flat[high]) * _inc_gamma_fraction(mu, flat[high])
+        # Where the front factor underflows to 0, P is exactly 1 and the
+        # fraction, which need not converge that far out, is not run.
+        factor = front(flat[high])
+        live = factor > 0.0
+        out[high] = 1.0
+        if live.any():
+            out[high[live]] -= factor[live] * _inc_gamma_fraction(
+                mu, flat[high[live]])
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 

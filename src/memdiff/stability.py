@@ -1,5 +1,6 @@
 """Regime classification, theoretical decay bounds, empirical rate fitting,
-and the sampled inequality suites for the Laplace symbols.
+the sampled inequality suites for the Laplace symbols, and
+:func:`verify_problem`, which runs them all with the three-route check.
 
 Generation regimes for the kernel triple (alpha, beta, mu):
 
@@ -37,13 +38,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, HypothesisError
-from .resolvent import Curve
-from .symbols import KernelParams, symbol_g, symbol_h, symbol_h_tilde
+from .inversion import invert_S_curve
+from .resolvent import Curve, CurveMethod, _series_grid
+from .special import DEFAULT_SERIES_CONTROL
+from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
+                      symbol_h_tilde)
+from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
 
 __all__ = [
     "RegimeClass",
@@ -58,7 +63,10 @@ __all__ = [
     "fit_decay_rate",
     "verify_bound",
     "lemma_property_suite",
+    "verify_problem",
 ]
+
+SCHEMA_VERSION = 1
 
 
 class RegimeClass(str, enum.Enum):
@@ -312,3 +320,77 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     record("arg_h_tilde", margins, 1e-10)
 
     return LemmaReport(params, seed, tuple(checks))
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup deviation over the larger sup norm; S(0) = 1, so about absolute."""
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
+                   tol: float, omega: float | None, seed: int) -> dict:
+    """The ``memdiff verify`` report on ``grid`` (from t = 0), a JSON-ready
+    dict: three-route agreement within ``tol``, the lemma suites and, where
+    decay applies for ``omega`` (None means rho), the decay checks."""
+    omega = prob.rho if omega is None else omega
+    regime = classify(prob.params, omega)
+
+    # Series route, excluding the points where the series honestly fails.
+    series_vals, _ = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL)
+    ok = np.isfinite(series_vals)
+    excluded_fraction = 1.0 - float(np.mean(ok))
+
+    volterra = solve_volterra_on_grid(prob, grid, dt)
+    laplace = invert_S_curve(prob, grid)
+
+    # t = 0 is on every grid and exact in the series, so ok is never empty.
+    deviations = {
+        "series_volterra": _deviation(series_vals[ok], volterra.values[ok]),
+        "series_laplace": _deviation(series_vals[ok], laplace.values[ok]),
+        "volterra_laplace": _deviation(volterra.values, laplace.values),
+    }
+
+    report_lemmas = lemma_property_suite(prob.params, seed=seed)
+
+    # Decay behaviour on a long horizon and, where decay applies, its
+    # stability under horizon doubling.  The march is causal, so the base
+    # horizon is a prefix of the doubled one and one solve serves both.
+    horizon = max(20.0, float(grid[-1]))
+    long_dt = 0.005
+    n_base = int(round(horizon / long_dt))
+    span = 2 if regime.decay_applicable else 1
+    long = solve_volterra(
+        prob, VolterraConfig(long_dt, int(round(span * horizon / long_dt))))
+    base = Curve(long.times[:n_base + 1], long.values[:n_base + 1],
+                 CurveMethod.VOLTERRA, prob)
+    fit = fit_decay_rate(base)
+
+    passes = {
+        "three_way_agreement": bool(
+            max(deviations.values()) <= tol and excluded_fraction < 0.20),
+        "lemma_suites": report_lemmas.total_violations == 0,
+    }
+    theoretical_rate = c_min = None
+    if regime.decay_applicable:
+        bound = theoretical_bound(prob.params, omega)
+        check = verify_bound(base, bound, doubled=long)
+        theoretical_rate, c_min = bound.rate, check.c_min
+        passes["decay_rate"] = bool(fit.rate <= bound.rate + 0.05)
+        passes["bound_stable"] = bool(check.holds and check.c_min < 100.0)
+    passes["all"] = all(passes.values())
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "params": {**asdict(prob.params), "rho": prob.rho, "omega": omega},
+        "regime": regime.regime_class.value,
+        "grid": {"tmax": float(grid[-1]), "points": len(grid), "dt": dt,
+                 "series_excluded_fraction": excluded_fraction},
+        "deviations": deviations,
+        "lemma_violations": report_lemmas.violation_counts(),
+        "fitted_rate": fit.rate,
+        "fitted_rate_oscillatory": fit.oscillatory,
+        "theoretical_rate": theoretical_rate,
+        "c_min": c_min,
+        "passes": passes,
+    }

@@ -131,8 +131,11 @@ def kernel_a(params: KernelParams, t):
             raise DomainError(
                 f"the kernel's factor beta^-mu is not a finite float for "
                 f"beta={params.beta}, mu={params.mu}") from None
-        a = 1.0 + params.alpha * scale * reg_lower_inc_gamma(
-            params.mu, params.beta * ts)
+        # A beta t past the float range takes the largest float, where P is
+        # already its exact limit 1.
+        with np.errstate(over="ignore"):
+            x = np.minimum(params.beta * ts, np.finfo(float).max)
+        a = 1.0 + params.alpha * scale * reg_lower_inc_gamma(params.mu, x)
     a = np.where(ts == 0.0, 1.0, a)
     return float(a) if ts.ndim == 0 else a
 

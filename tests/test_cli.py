@@ -13,7 +13,7 @@ import pytest
 
 import memdiff
 from memdiff import (ConvergenceError, KernelParams, ScalarProblem,
-                     series_S)
+                     series_S, verify_problem)
 from memdiff import cli
 from memdiff.cli import main
 
@@ -123,10 +123,10 @@ MISSING = object()
     # alpha omega past the float range: no finite decay envelope
     (("classify", "-a=-1e10", "-b", "1e300", "-m", "0.5", "-w=-1e300"), 64,
      "alpha * omega is not a finite float"),
-    # a failure of the kernel table that every mode shares names no mode
-    (("norm-curve", "-a", "1", "-b", "1e200", "-m", "0.9", "--modes", "4",
-      "--tmax", "1", "--points", "3"), 2,
-     "incomplete gamma continued fraction did not converge"),
+    # contour nodes radius / t past the float range: the sum is not finite
+    (("scalar-curve", "-a", "1", "-b", "0.5", "-m", "0.5", "-r", "-1",
+      "--tmax", "1e-320", "--points", "3", "--method", "laplace"), 2,
+     "contour sum is not finite at t=5e-321"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
@@ -136,7 +136,7 @@ MISSING = object()
         "scalar-curve-points-1e12", "norm-curve-points-1e12",
         "verify-points-1e12", "scalar-curve-beta-5e-324",
         "norm-curve-beta-5e-324", "verify-beta-5e-324", "verify-mu-5e-4",
-        "classify-alpha-omega-1e310", "norm-curve-shared-kernel-table"])
+        "classify-alpha-omega-1e310", "laplace-tmax-1e-320"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -145,6 +145,23 @@ def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     assert cp.stderr.startswith(f"memdiff: {prefix}")
     assert cp.stderr.count("\n") == 1
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # beta^-mu = 1e-180: the memory is too small to move S_1 = e^{-t}
+    ("norm-curve", "-a", "1", "-b", "1e200", "-m", "0.9", "--modes", "4",
+     "--tmax", "1", "--points", "3"),
+    # beta t past the float range, where P(mu, beta t) is 1
+    ("scalar-curve", "-a", "1", "-b", "1e308", "-m", "0.5", "-r", "-1",
+     "--points", "3", "--method", "volterra"),
+], ids=["norm-curve-shared-kernel-table", "scalar-curve-beta-1e308"])
+def test_vanishing_memory_leaves_exp_minus_t(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    rows = np.array([[float(x) for x in line.split(",")[:2]]
+                     for line in cp.stdout.splitlines()[1:]])
+    assert np.max(np.abs(rows[:, 1] - np.exp(-rows[:, 0]))) <= 1e-4
 
 
 @pytest.mark.parametrize("command", ["scalar-curve", "norm-curve", "verify"])
@@ -441,6 +458,30 @@ class TestVerify:
         cp = run_cli("verify", "--alpha", "-1", "--beta", "1", "--mu", "0.5",
                      "--rho", "-1")
         assert cp.returncode == 3
+
+    # (alpha, beta, mu, rho, omega, tmax, points, dt, tol, seed)
+    @pytest.mark.parametrize("case", [
+        (1.0, 3.0, 1.0, -1.0, None, 5.0, 32, 0.0025, 1e-4, 0),
+        (-0.2, 1.0, 0.5, -1.0, None, 5.0, 9, 0.0025, 1e-4, 0),
+        (1.0, 0.5, 0.5, 1.0, None, 5.0, 9, 0.0025, 1e-4, 0),
+        (1.0, 0.5, 0.5, -1.0, 2.0, 5.0, 9, 0.0025, 1e-4, 0),
+        (1.0, 0.0, 1.0, -6.0, None, 10.0, 11, 0.0025, 1e-4, 0),
+        (0.5, 1.0, 0.3, -2.0, None, 3.0, 9, 0.005, 1e-9, 3),
+    ], ids=["golden", "negative-alpha", "rho-positive", "omega-positive",
+            "series-exclusions", "tol-and-seed"])
+    def test_library_report_is_the_cli_report(self, case):
+        alpha, beta, mu, rho, omega, tmax, points, dt, tol, seed = case
+        argv = ["verify", "-a", repr(alpha), "-b", repr(beta), "-m", repr(mu),
+                "-r", repr(rho), "--tmax", repr(tmax), "--points",
+                str(points), "--dt", repr(dt), "--tol", repr(tol), "--seed",
+                str(seed)] + ([] if omega is None else ["--omega", repr(omega)])
+        cp = run_cli(*argv)
+        report = verify_problem(
+            ScalarProblem(KernelParams(alpha, beta, mu), rho),
+            np.linspace(0.0, tmax, points), dt, tol, omega, seed)
+        assert cp.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert cp.returncode == (0 if report["passes"]["all"] else 1)
+        assert cp.stderr == ""
 
     def test_missing_subcommand_exits_64(self):
         cp = run_cli()

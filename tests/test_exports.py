@@ -43,14 +43,26 @@ def _unused_imports(module) -> list[str]:
     return sorted(set(imported) - read)
 
 
+# Names a module imports only for the benchmark's tracer to hook there.  Once
+# the tracer hooks the library modules instead, every set here is empty.
+_TRACER_ONLY = {
+    "memdiff.cli": {"series_S", "solve_volterra", "fit_decay_rate",
+                    "verify_bound", "lemma_property_suite"},
+    "memdiff.resolvent": {"_prabhakar_scaled"},
+}
+
+
 @pytest.mark.parametrize("name", _MODULES)
 def test_every_imported_name_is_used(name, monkeypatch):
-    """An import is read, exported or a name the benchmark's tracer hooks
-    in this module; anything else is left over from a deletion."""
+    """An import is read, exported or listed in _TRACER_ONLY, and each listed
+    name is one the tracer hooks in this module; anything else is left over
+    from a deletion."""
     module = importlib.import_module(name)
+    tracer_only = _TRACER_ONLY.get(name, set())
+    assert set(_unused_imports(module)) == tracer_only
     hooked = {attr for owner, attr in
               _load_tracing(monkeypatch)._hooks(memdiff) if owner is module}
-    assert [n for n in _unused_imports(module) if n not in hooked] == []
+    assert tracer_only <= hooked
 
 
 def _imported_packages(module) -> set[str]:

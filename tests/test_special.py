@@ -299,6 +299,19 @@ class TestRegLowerIncGammaArray:
         assert got.shape == (2, 2)
         assert got[0, 0] == 0.0
 
+    # x of np.logspace(1, 20, 400) where the continued fraction did not
+    # converge; the front factor x^mu e^{-x} is 0 there, so P is exactly 1
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 1.0])
+    def test_huge_x_is_exactly_one(self, mu):
+        xs = np.array([3.340484983513258e16, 4.641588833612753e17,
+                       5.179474679231181e17, 1.7301957388458908e18,
+                       2.154434690031878e18, 5.779692884153277e18,
+                       7.196856730011528e18, 1.550515779832622e19,
+                       1.7301957388458908e19, 2.6826957952797164e19,
+                       3.3404849835132305e19, 6.449466771037634e19])
+        assert np.all(reg_lower_inc_gamma(mu, xs) == 1.0)
+        assert all(reg_lower_inc_gamma(mu, float(x)) == 1.0 for x in xs)
+
     def test_array_domain(self):
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(0.5, np.array([1.0, math.nan]))

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from memdiff import (ConvergenceError, DomainError, KernelParams, ModeError,
-                     ScalarProblem, SpectralModel, TruncationError,
-                     VolterraConfig, eigen_pairs, field, mode_curve,
-                     operator_norm_curve, series_S, series_curve,
-                     solve_volterra)
+from memdiff import (DomainError, KernelParams, ModeError, ScalarProblem,
+                     SpectralModel, TruncationError, VolterraConfig,
+                     eigen_pairs, field, mode_curve, operator_norm_curve,
+                     series_S, series_curve, solve_volterra)
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -239,14 +238,13 @@ class TestBatchedNormCurve:
         assert not isinstance(info.value, ModeError)
         assert str(info.value).startswith("17 rows of 1000001 nodes exceed")
 
-    def test_shared_kernel_table_failure_names_no_mode(self):
-        # P(mu, beta t) at beta = 1e200 fails for every mode at once
-        with pytest.raises(ConvergenceError) as info:
-            operator_norm_curve(make_model(), KernelParams(1.0, 1e200, 0.9),
-                                [0.0, 0.5, 1.0], method="volterra", dt=0.005)
-        assert not isinstance(info.value, ModeError)
-        assert str(info.value) == (
-            "incomplete gamma continued fraction did not converge")
+    def test_vanishing_memory_leaves_the_first_mode(self):
+        # beta^-mu = 1e-180 and P(mu, beta t) = 1 past t = 0: the memory is
+        # too small to move S_1 = e^{-t}
+        curve = operator_norm_curve(make_model(), KernelParams(1.0, 1e200, 0.9),
+                                    [0.0, 0.5, 1.0], method="volterra",
+                                    dt=0.005)
+        assert np.max(np.abs(curve.values - np.exp(-curve.times))) <= 1e-4
 
     def test_failure_names_the_mode_that_fails_first(self):
         # mode 3 (rho = -9) goes non-finite from t = 110.2, mode 2 (rho = -4)
