@@ -91,9 +91,10 @@ def _write_curve(args, curve: Curve) -> int:
 
 
 def _refuse(args) -> int:
-    """Refuse an unsupported regime that ``--force`` did not override."""
+    """Refuse an unsupported regime, naming ``--force`` where it exists."""
+    hint = "; pass --force to compute anyway" if "force" in args else ""
     print(f"unsupported regime (alpha={args.alpha}, beta={args.beta}, "
-          f"mu={args.mu}); pass --force to compute anyway", file=sys.stderr)
+          f"mu={args.mu}){hint}", file=sys.stderr)
     return EXIT_HYPOTHESIS
 
 
@@ -180,9 +181,7 @@ def cmd_verify(args) -> int:
     regime = classify(prob.params, args.rho if args.omega is None
                       else args.omega)
     if not regime.supported:
-        print(f"unsupported regime (alpha={args.alpha}, beta={args.beta}, "
-              f"mu={args.mu})", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _refuse(args)
     grid = _grid(args.tmax, args.points)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise DomainError(f"--tol must be finite and > 0, got {args.tol}")

@@ -117,7 +117,12 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
 
 
 def _default_scale(prob: ScalarProblem) -> float:
-    return max(1.0, 2.0 * (abs(prob.rho) + prob.params.beta))
+    scale = max(1.0, 2.0 * (abs(prob.rho) + prob.params.beta))
+    if not math.isfinite(scale):  # every node would be infinite
+        raise AccuracyError(
+            f"the contour radius 2(|rho| + beta) is not a finite float for "
+            f"rho={prob.rho}, beta={prob.params.beta}")
+    return scale
 
 
 def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,

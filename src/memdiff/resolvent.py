@@ -17,11 +17,7 @@ blocks of ``_K_BLOCK`` terms over all live times, each block one call of the
 inner engine on its (t, k) pairs and one pass of the compensated sum over
 the block (``special._sum_block``), and each time keeps the operation order
 of its own sequential walk over (k, n).  Python loops only over the times
-that stop inside a block.  Summing by the block instead of by the term
-(with 32 terms a block instead of 16, and the inner engine's lazier
-compaction) took the passing series requests of three curve-sweep rounds
-from 218 to 158 ms on a 2-CPU host (median of 15 interleaved in-process
-runs).
+that stop inside a block.
 
 A time fails at its first outer term that is not finite, since its sum can
 then never stop: with the inner series' error if that failed there (its

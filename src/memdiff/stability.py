@@ -236,18 +236,6 @@ class LemmaReport:
     def violation_counts(self) -> dict[str, int]:
         return {c.name: c.violations for c in self.checks}
 
-    def to_dict(self) -> dict:
-        return {
-            "params": {"alpha": self.params.alpha, "beta": self.params.beta,
-                       "mu": self.params.mu},
-            "seed": self.seed,
-            "checks": [
-                {"name": c.name, "n_samples": c.n_samples,
-                 "violations": c.violations, "worst_margin": c.worst_margin}
-                for c in self.checks
-            ],
-        }
-
 
 def _sample_right_half(rng: np.random.Generator, n: int) -> np.ndarray:
     modulus = 10.0 ** rng.uniform(-3.0, 3.0, n)

@@ -170,14 +170,13 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     u[:, 0] = 1.0
     # Overflow is reported once, below, as an AccuracyError.
     with np.errstate(over="ignore", invalid="ignore"):
-        u[:, 1] = (1.0 + rho_dt * half_a[1]) / denom  # an empty history
         if rhos.size == 1:
             _march_row(a_rev, half_a, float(rho_dt[0]), float(denom[0]), u[0])
         else:
             hist = np.empty(rhos.size)
             part = np.empty(rhos.size)
             one_dot = _DOT_CHUNK + 1  # the last step whose history is one dot
-            for i in range(2, n + 1):
+            for i in range(1, n + 1):
                 # (1 + rho dt (a_i / 2 + dot)) / denom, in place
                 if i <= one_dot:
                     np.vecdot(a_rev[n - i + 1:n], u[:, 1:i], out=hist)
@@ -206,11 +205,11 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
 
 def _march_row(a_rev, half_a: list, rho_dt: float, denom: float,
                row) -> None:
-    """March one row in place from step 2 on Python floats: the same ddot
+    """March one row in place from step 1 on Python floats: the same ddot
     and the same rounded operations as a row of the batched loop, without
-    its per-step array overhead."""
+    its per-step array overhead (step 1's empty history dot is 0.0)."""
     n = row.size - 1
-    for i in range(2, min(n, _DOT_CHUNK + 1) + 1):
+    for i in range(1, min(n, _DOT_CHUNK + 1) + 1):
         hist = half_a[i] + float(a_rev[n - i + 1:n].dot(row[1:i]))
         row[i] = (1.0 + rho_dt * hist) / denom
     for i in range(_DOT_CHUNK + 2, n + 1):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import memdiff
-from memdiff import (ConvergenceError, KernelParams, ScalarProblem,
-                     series_S, verify_problem)
+from memdiff import (ConvergenceError, HypothesisError, KernelParams,
+                     ScalarProblem, series_S, verify_problem)
 from memdiff import cli
 from memdiff.cli import main
 
@@ -127,6 +127,13 @@ MISSING = object()
     (("scalar-curve", "-a", "1", "-b", "0.5", "-m", "0.5", "-r", "-1",
       "--tmax", "1e-320", "--points", "3", "--method", "laplace"), 2,
      "contour sum is not finite at t=5e-321"),
+    # the contour radius 2(|rho| + beta) past the float range
+    (("scalar-curve", "-a", "1", "-b", "1e308", "-m", "0.5", "-r", "-1",
+      "--points", "3", "--method", "laplace"), 2,
+     "the contour radius 2(|rho| + beta) is not a finite float"),
+    (("verify", "-a", "1", "-b", "1e308", "-m", "0.5", "-r", "-1",
+      "--points", "3"), 2,
+     "the contour radius 2(|rho| + beta) is not a finite float"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
@@ -136,7 +143,8 @@ MISSING = object()
         "scalar-curve-points-1e12", "norm-curve-points-1e12",
         "verify-points-1e12", "scalar-curve-beta-5e-324",
         "norm-curve-beta-5e-324", "verify-beta-5e-324", "verify-mu-5e-4",
-        "classify-alpha-omega-1e310", "laplace-tmax-1e-320"])
+        "classify-alpha-omega-1e310", "laplace-tmax-1e-320",
+        "laplace-beta-1e308", "verify-beta-1e308"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -458,6 +466,16 @@ class TestVerify:
         cp = run_cli("verify", "--alpha", "-1", "--beta", "1", "--mu", "0.5",
                      "--rho", "-1")
         assert cp.returncode == 3
+
+    def test_library_hypothesis_error_exits_3(self, monkeypatch):
+        # No CLI input makes the library raise it, so stand one in.
+        def refuse(*args):
+            raise HypothesisError("decay estimates need omega < 0")
+        monkeypatch.setattr(cli, "verify_problem", refuse)
+        cp = run_cli("verify", *GOLDEN, "--points", "3")
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr == "memdiff: decay estimates need omega < 0\n"
 
     # (alpha, beta, mu, rho, omega, tmax, points, dt, tol, seed)
     @pytest.mark.parametrize("case", [

@@ -267,6 +267,11 @@ class TestMu1ClosedForm:
                 assert series_S(prob, t) == pytest.approx(
                     mu1_closed_form(prob, t), abs=1e-9)
 
+    def test_bad_time_is_an_argument_error(self, double_root_problem):
+        for t in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="t must be finite"):
+                mu1_closed_form(double_root_problem, t)
+
     def test_requires_mu_one(self):
         with pytest.raises(DomainError):
             mu1_closed_form(problem(1.0, 0.0, 0.5, -1.0), 1.0)

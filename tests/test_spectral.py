@@ -104,6 +104,11 @@ class TestModeCurve:
             operator_norm_curve(make_model(), KernelParams(1.0, 0.5, 0.5),
                                 grid, method="volterra")
 
+    def test_laplace_route_is_an_argument_error(self):
+        with pytest.raises(DomainError, match="unsupported mode-curve method"):
+            mode_curve(make_model(), KernelParams(1.0, 0.5, 0.5), 1,
+                       np.linspace(0.0, 1.0, 3), "laplace")
+
     def test_failure_tagged_with_mode_index(self):
         # high modes push (rho+beta) t far negative: the series dies loudly
         model = make_model(L=math.pi, n_modes=4)
@@ -133,6 +138,14 @@ class TestField:
             with pytest.raises(DomainError):
                 field(model, KernelParams(1.0, 1.0, 0.5), [0.0, 0.0], t,
                       [0.0, 1.0])
+
+    def test_failure_tagged_with_mode_index(self):
+        # mode 1's series exhausts double precision at t = 10
+        with pytest.raises(ModeError) as info:
+            field(make_model(L=math.pi, n_modes=4), KernelParams(1.0, 0.0, 1.0),
+                  [1.0, 1.0, 1.0, 1.0], 10.0, [0.5, 1.0])
+        assert info.value.mode_index == 1
+        assert "mode 1" in str(info.value)
 
     def test_single_mode_field_is_scaled_eigenfunction(self):
         model = make_model(L=math.pi, n_modes=2)

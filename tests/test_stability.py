@@ -32,6 +32,11 @@ class TestClassify:
         regime = classify(KernelParams(1.0, 2.0, 0.5), omega=-1.0)
         assert regime.supported and not regime.decay_applicable
 
+    def test_non_finite_omega_rejected(self):
+        for omega in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="omega must be finite"):
+                classify(KernelParams(1.0, 0.5, 0.5), omega)
+
     def test_idempotent_and_total(self):
         params = KernelParams(-0.3, 2.0, 0.7)
         assert classify(params, -1.0) == classify(params, -1.0)
@@ -200,7 +205,6 @@ class TestLemmaPropertySuite:
 
     def test_report_serializes(self):
         report = lemma_property_suite(self.CONFIGS[1], n_samples=100, seed=1)
-        doc = report.to_dict()
-        assert doc["seed"] == 1
-        assert {c["name"] for c in doc["checks"]} == {
+        assert report.seed == 1
+        assert set(report.violation_counts()) == {
             "g_bound", "arg_h", "re_power", "arg_h_tilde"}

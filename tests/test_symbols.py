@@ -131,6 +131,12 @@ class TestLaplaceTransforms:
             laplace_S_hat(double_root_problem, -2.0 + 0j)
         assert laplace_S_hat_den(double_root_problem, -2.0 + 0j) == pytest.approx(0.0)
 
+    def test_non_finite_params_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            for args in ((bad, 0.5, 0.5), (1.0, bad, 0.5), (1.0, 0.5, bad)):
+                with pytest.raises(DomainError, match="must be finite"):
+                    KernelParams(*args)
+
     def test_param_validation(self):
         with pytest.raises(DomainError):
             KernelParams(1.0, -0.1, 0.5)
