@@ -18,8 +18,8 @@ from .errors import (AccuracyError, ContourError, ConvergenceError,
                      SingularityError, StepSizeError, TruncationError)
 from .inversion import (InversionConfig, forward_transform, invert_S,
                         invert_S_curve, invert_transform)
-from .resolvent import (Curve, CurveMethod, Mu1Case, Mu1Classification,
-                        mu1_classify, mu1_closed_form, series_S, series_curve)
+from .resolvent import (Curve, CurveMethod, mu1_closed_form, series_S,
+                        series_curve)
 from .special import (DEFAULT_SERIES_CONTROL, MLParams, SeriesControl,
                       prabhakar_ml, reg_lower_inc_gamma)
 from .spectral import (SpectralModel, eigen_pairs, field, mode_curve,
@@ -41,13 +41,13 @@ __all__ = [
     "Curve", "CurveMethod", "DEFAULT_SERIES_CONTROL", "DecayBound",
     "DomainError", "HypothesisError", "InversionConfig", "KernelParams",
     "LemmaCheck", "LemmaReport", "MLParams", "MemdiffError", "ModeError",
-    "Mu1Case", "Mu1Classification", "RateFit", "Regime", "RegimeClass",
+    "RateFit", "Regime", "RegimeClass",
     "ScalarProblem", "SeriesControl", "SingularityError", "SpectralModel",
     "StepSizeError", "TruncationError", "VolterraConfig", "classify",
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
     "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
-    "mode_curve", "mu1_classify", "mu1_closed_form", "operator_norm_curve",
+    "mode_curve", "mu1_closed_form", "operator_norm_curve",
     "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
     "solve_volterra", "solve_volterra_batch", "solve_volterra_on_grid",
     "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",

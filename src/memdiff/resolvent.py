@@ -48,11 +48,8 @@ from .symbols import ScalarProblem
 __all__ = [
     "CurveMethod",
     "Curve",
-    "Mu1Case",
-    "Mu1Classification",
     "series_S",
     "series_curve",
-    "mu1_classify",
     "mu1_closed_form",
 ]
 
@@ -92,20 +89,6 @@ class Curve:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-
-class Mu1Case(enum.Enum):
-    TWO_REAL_ROOTS = "two-real-roots"
-    DOUBLE_ROOT = "double-root"
-    COMPLEX_PAIR = "complex-pair"
-
-
-@dataclass(frozen=True)
-class Mu1Classification:
-    """Pole structure of the mu = 1 transform."""
-
-    discriminant: float
-    case: Mu1Case
 
 
 def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
@@ -275,29 +258,13 @@ def series_curve(prob: ScalarProblem, times,
     return Curve(grid, values, CurveMethod.SERIES, prob)
 
 
-def mu1_classify(prob: ScalarProblem) -> Mu1Classification:
-    """Classify the mu = 1 pole structure by the discriminant
-    D = (rho+beta)^2 + 4 alpha rho, with a relative tie band around D = 0."""
-    p = prob.params
-    if p.mu != 1.0:
-        raise DomainError(f"classification requires mu = 1, got {p.mu}")
-    s = prob.rho + p.beta
-    disc = s * s + 4.0 * p.alpha * prob.rho
-    if abs(disc) < 1e-12 * max(1.0, s * s):
-        case = Mu1Case.DOUBLE_ROOT
-    elif disc > 0.0:
-        case = Mu1Case.TWO_REAL_ROOTS
-    else:
-        case = Mu1Case.COMPLEX_PAIR
-    return Mu1Classification(disc, case)
-
-
 def mu1_closed_form(prob: ScalarProblem, t: float) -> float:
-    """Exact S(t) for mu = 1.
+    """Exact S(t) for mu = 1, by the sign of D = (rho+beta)^2 + 4 alpha rho.
 
-    Two real poles lam_{1,2} = ((rho+beta) +- sqrt(D))/2 give a sum of two
-    exponentials; a double root gives the (1 + (rho+beta)t/2) e^{...t} form;
-    a conjugate pair gives, with c = sqrt(-D)/2,
+    |D| < 1e-12 max(1, (rho+beta)^2) counts as D = 0, a double root, which
+    gives the (1 + (rho+beta)t/2) e^{...t} form.  Two real poles
+    lam_{1,2} = ((rho+beta) +- sqrt(D))/2 give a sum of two exponentials; a
+    conjugate pair gives, with c = sqrt(-D)/2,
 
         S(t) = e^{(rho-beta)t/2} (cos(c t) + (rho+beta)/(2c) * sin(c t)),
 
@@ -308,22 +275,24 @@ def mu1_closed_form(prob: ScalarProblem, t: float) -> float:
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     p = prob.params
-    cls = mu1_classify(prob)
-    if not math.isfinite(cls.discriminant):
+    if p.mu != 1.0:
+        raise DomainError(f"classification requires mu = 1, got {p.mu}")
+    s = prob.rho + p.beta
+    disc = s * s + 4.0 * p.alpha * prob.rho
+    if not math.isfinite(disc):
         raise AccuracyError(f"the mu = 1 discriminant is not a finite float "
                             f"(rho={prob.rho})")
-    s = prob.rho + p.beta
     try:
-        if cls.case is Mu1Case.DOUBLE_ROOT:
+        if abs(disc) < 1e-12 * max(1.0, s * s):
             return (1.0 + 0.5 * s * t) * math.exp(
                 0.5 * (prob.rho - p.beta) * t)
-        if cls.case is Mu1Case.TWO_REAL_ROOTS:
-            root = math.sqrt(cls.discriminant)
+        if disc > 0.0:
+            root = math.sqrt(disc)
             c1 = (s + root) / (2.0 * root)
             c2 = (s - root) / (2.0 * root)
             return (c1 * math.exp(0.5 * (prob.rho - p.beta + root) * t)
                     - c2 * math.exp(0.5 * (prob.rho - p.beta - root) * t))
-        c = 0.5 * math.sqrt(-cls.discriminant)
+        c = 0.5 * math.sqrt(-disc)
         return math.exp(0.5 * (prob.rho - p.beta) * t) * (
             math.cos(c * t) + s / (2.0 * c) * math.sin(c * t))
     except OverflowError:

@@ -197,17 +197,15 @@ def _inc_gamma_fraction(mu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _log_coeffs(mu: float, kvals: list[int], n: int,
-                upper: list[float] | None = None) -> np.ndarray:
+                upper: list[float]) -> np.ndarray:
     """Coefficient n of the series for each k of ``kvals``,
 
         lgamma(k+n+1) - lgamma(n+1) - lgamma(n(mu+1)+k+1),
 
     three lgamma calls in that subtraction order, the middle one shared by
-    every k.  ``upper``, when given, holds the first one for each k."""
+    every k.  ``upper`` holds the first one for each k."""
     nm = n * (mu + 1.0)
     log_n_fact = math.lgamma(n + 1.0)
-    if upper is None:
-        upper = [math.lgamma(k + n + 1.0) for k in kvals]
     return np.array([first - log_n_fact - math.lgamma(nm + k + 1.0)
                      for first, k in zip(upper, kvals)])
 

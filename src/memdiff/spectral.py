@@ -69,8 +69,8 @@ def eigen_pairs(model: SpectralModel) -> list[tuple[float, Callable]]:
     norm = math.sqrt(2.0 / L)
 
     def make_phi(n: int) -> Callable:
-        def phi(x, _n=n):
-            return norm * np.sin(_n * math.pi * np.asarray(x, dtype=float) / L)
+        def phi(x):
+            return norm * np.sin(n * math.pi * np.asarray(x, dtype=float) / L)
         return phi
 
     return [(model.eigenvalue(n), make_phi(n)) for n in range(1, model.n_modes + 1)]

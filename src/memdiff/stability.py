@@ -27,11 +27,17 @@ in modulus and uniformly in admissible argument and count violations of
                                                      |lambda| > beta).
 
 The extra |lambda| > beta constraint on the last check is not part of the
-classical hypothesis but is required: h_tilde(r) is negative on the real
-segment 0 < r < beta, so the argument-integral representation underlying
-the inequality starts from arg = pi rather than 0 there, and the bound
-genuinely fails below beta (e.g. (alpha, beta, mu) = (-0.2, 1, 0.5) at
-lambda ~ 0.43 e^{1.64 i} gives |arg h_tilde| = 2.47 > 2.45).
+classical hypothesis.  Below beta the bound fails: h_tilde(r) is negative
+on the real segment 0 < r < beta, so the argument-integral representation
+underlying the inequality starts from arg = pi rather than 0 there (e.g.
+(alpha, beta, mu) = (-0.2, 1, 0.5) at lambda ~ 0.43 e^{1.64 i} gives
+|arg h_tilde| = 2.47 > 2.45).  The floor is not enough, though: with
+alpha > 0 and beta the binding floor the bound also fails above it.  At
+seed 0 the suite counts 178 of 10^4 arg_h_tilde violations at (0.5, 1, 0.3),
+worst margin -0.423, and 32 of 10^4 at (0.5, 1, 0.5), worst margin -0.201,
+so verify exits 1 on (0.5, 1, 0.3) at rho = -1 and -2 and on (0.5, 1, 0.5) at
+rho = -2.  The region where the inequality holds is still to be derived
+(ROADMAP item 3); until then the check keeps this floor and its slack.
 """
 
 from __future__ import annotations
@@ -77,12 +83,11 @@ class RegimeClass(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Regime:
-    """Classification of (alpha, beta, mu) with the caller-supplied sectorial
-    shift omega attached.  ``decay_applicable`` records whether the decay
-    estimates apply (omega < 0 and beta + omega <= 0)."""
+    """Classification of (alpha, beta, mu) under the caller-supplied sectorial
+    shift omega.  ``decay_applicable`` records whether the decay estimates
+    apply (omega < 0 and beta + omega <= 0)."""
 
     regime_class: RegimeClass
-    omega: float
     beta_plus_omega: float
     decay_applicable: bool
 
@@ -130,7 +135,7 @@ def classify(params: KernelParams, omega: float) -> Regime:
     else:
         cls = RegimeClass.UNSUPPORTED
     bpo = params.beta + omega
-    return Regime(cls, omega, bpo, decay_applicable=(omega < 0.0 and bpo <= 0.0))
+    return Regime(cls, bpo, decay_applicable=(omega < 0.0 and bpo <= 0.0))
 
 
 def theoretical_bound(params: KernelParams, omega: float) -> DecayBound:

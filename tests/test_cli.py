@@ -186,6 +186,19 @@ def test_refusal_comes_before_grid_errors(command):
     assert cp.stderr.count("\n") == 1
 
 
+def test_admissibility_boundary_is_computed_and_past_it_refused():
+    """alpha = -beta^mu / 2 is the last supported negative alpha; the next
+    float below it is refused."""
+    argv = ("-b", "1", "-m", "0.5", "-r", "-1", "--tmax", "2", "--points", "5")
+    cp = run_cli("scalar-curve", "-a", "-0.5", *argv)
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("scalar-curve", "-a", "-0.5000000000000001", *argv)
+    assert cp.returncode == 3
+    assert cp.stdout == ""
+    assert cp.stderr == ("unsupported regime (alpha=-0.5000000000000001, "
+                         "beta=1.0, mu=0.5); pass --force to compute anyway\n")
+
+
 def test_huge_volterra_batch_is_refused_before_it_is_built():
     """A million modes past the batch bound: refused with one line, before
     the spectral model holds a coefficient per mode."""

@@ -14,6 +14,7 @@ import pytest
 
 import memdiff
 import memdiff.cli  # noqa: F401  (pkgutil lists it; the tracer hooks it)
+from memdiff import errors
 from test_tracing import _load_tracing
 
 _MODULES = ["memdiff"] + [f"memdiff.{info.name}" for info in
@@ -26,6 +27,18 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_package_exports_every_module_export_and_nothing_else():
+    """memdiff re-exports each module's ``__all__`` and every memdiff error,
+    so a name removed from a module cannot linger in the package or be
+    missing from it."""
+    expected = {name for module in _MODULES[1:] for name in
+                getattr(importlib.import_module(module), "__all__", [])}
+    expected |= {name for name, obj in vars(errors).items()
+                 if inspect.isclass(obj)
+                 and issubclass(obj, errors.MemdiffError)}
+    assert sorted(memdiff.__all__) == sorted(expected)
 
 
 def _unused_imports(module) -> list[str]:

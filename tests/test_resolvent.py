@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
-                     DomainError, Mu1Case, VolterraConfig, invert_transform,
-                     laplace_S_hat, mu1_classify, mu1_closed_form,
-                     series_S, series_curve, solve_volterra)
+                     DomainError, VolterraConfig, invert_transform,
+                     laplace_S_hat, mu1_closed_form, series_S, series_curve,
+                     solve_volterra)
 from memdiff import resolvent
 from memdiff.resolvent import _series_grid
 from memdiff.special import (DEFAULT_SERIES_CONTROL, SeriesControl,
@@ -208,32 +208,6 @@ class TestCurveType:
             Curve([0.0, 1.0], [1.0], CurveMethod.SERIES, None)
 
 
-class TestMu1Classify:
-    def test_double_root(self, double_root_problem):
-        cls = mu1_classify(double_root_problem)
-        assert cls.case is Mu1Case.DOUBLE_ROOT
-        assert cls.discriminant == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_real_roots(self, two_root_problem):
-        cls = mu1_classify(two_root_problem)
-        assert cls.case is Mu1Case.TWO_REAL_ROOTS
-        assert cls.discriminant == pytest.approx(0.25)
-
-    def test_complex_pair(self, complex_pair_problem):
-        cls = mu1_classify(complex_pair_problem)
-        assert cls.case is Mu1Case.COMPLEX_PAIR
-        assert cls.discriminant == pytest.approx(-7.0)
-
-    def test_tie_band_is_relative(self):
-        # discriminant 4e-13 * (rho+beta)^2-scale lands in the tie band
-        prob = problem(1.0, 3.0, 1.0, -1.0 + 1e-13)
-        assert mu1_classify(prob).case is Mu1Case.DOUBLE_ROOT
-
-    def test_requires_mu_one(self):
-        with pytest.raises(DomainError):
-            mu1_classify(problem(1.0, 0.0, 0.5, -1.0))
-
-
 class TestMu1ClosedForm:
     def test_value_at_zero_all_cases(self, double_root_problem,
                                      two_root_problem, complex_pair_problem):
@@ -271,6 +245,14 @@ class TestMu1ClosedForm:
         for t in (-1.0, math.nan):
             with pytest.raises(DomainError, match="t must be finite"):
                 mu1_closed_form(double_root_problem, t)
+
+    def test_tie_band_is_relative(self):
+        # D = (2 + 1e-13)^2 - 4 (1 - 1e-13) ~ 8e-13 < 1e-12 (rho+beta)^2 ~ 4e-12
+        prob = problem(1.0, 3.0, 1.0, -1.0 + 1e-13)
+        s, half_gap = prob.rho + 3.0, 0.5 * (prob.rho - 3.0)  # beta = 3
+        for t in (0.5, 1.0, 4.0):
+            double_root = (1.0 + 0.5 * s * t) * math.exp(half_gap * t)
+            assert mu1_closed_form(prob, t) == double_root
 
     def test_requires_mu_one(self):
         with pytest.raises(DomainError):

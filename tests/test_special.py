@@ -318,6 +318,17 @@ class TestRegLowerIncGammaArray:
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(0.5, np.array([1.0, -1e-300]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine, name", [
+        (special._inc_gamma_series, "series"),
+        (special._inc_gamma_fraction, "continued fraction")])
+    def test_engine_that_never_converges_raises(self, engine, name):
+        # reg_lower_inc_gamma refuses NaN itself (above), so only a direct
+        # call reaches the engines' guards
+        with pytest.raises(ConvergenceError,
+                           match=f"^incomplete gamma {name} did not converge$"):
+            engine(0.5, np.array([math.nan]))
+
 
 class TestCoefficientCache:
     """The series' log-coefficients, computed per call: memdiff keeps no
@@ -327,7 +338,8 @@ class TestCoefficientCache:
     def test_log_factorial_table_keeps_the_three_lgamma_bits(self, mu):
         ks = [0, 3, 17, 60]
         for n in (0, 1, 2, 63, 64, 65, 127, 200):
-            coeffs = special._log_coeffs(mu, ks, n)
+            upper = [math.lgamma(k + n + 1.0) for k in ks]
+            coeffs = special._log_coeffs(mu, ks, n, upper)
             for k, got in zip(ks, coeffs.tolist()):
                 three = (math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
                          - math.lgamma(n * (mu + 1.0) + k + 1.0))

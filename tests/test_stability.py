@@ -42,6 +42,26 @@ class TestClassify:
         assert classify(params, -1.0) == classify(params, -1.0)
 
 
+@pytest.mark.parametrize("beta, mu", [(1.0, 0.5), (2.0, 0.5), (0.7, 0.3),
+                                      (1.5, 0.8)])
+class TestAdmissibilityBoundary:
+    """alpha = -beta^mu / 2, where alpha + beta^mu >= |alpha| holds with
+    equality: the last supported negative alpha."""
+
+    def test_boundary_is_supported_and_the_next_float_is_not(self, beta, mu):
+        alpha = -beta ** mu / 2.0
+        assert classify(KernelParams(alpha, beta, mu), -beta).regime_class \
+            is RegimeClass.NEGATIVE_ALPHA_ADMISSIBLE
+        below = float(np.nextafter(alpha, -np.inf))
+        assert not classify(KernelParams(below, beta, mu), -beta).supported
+
+    def test_bound_and_lemmas_hold_at_the_boundary(self, beta, mu):
+        params = KernelParams(-beta ** mu / 2.0, beta, mu)
+        bound = theoretical_bound(params, -beta)
+        assert np.isfinite([bound.rate, bound.poly_coeff]).all()
+        assert lemma_property_suite(params, seed=0).total_violations == 0
+
+
 class TestTheoreticalBound:
     def test_positive_alpha_pure_exponential(self):
         bound = theoretical_bound(KernelParams(1.0, 0.5, 0.5), omega=-1.0)
