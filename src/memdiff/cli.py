@@ -19,7 +19,9 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +47,13 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, so -1e-3
+        # would be taken for an option; exponent literals count too.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):  # argparse default exits with 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -73,10 +82,8 @@ def _curve_json(curve: Curve) -> str:
     prob = curve.problem
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": None if prob is None else {
-            "alpha": prob.params.alpha, "beta": prob.params.beta,
-            "mu": prob.params.mu, "rho": prob.rho,
-        },
+        "params": None if prob is None else {**asdict(prob.params),
+                                             "rho": prob.rho},
         "method": curve.method,
         "t": [float(x) for x in curve.times],
         "value": [float(x) for x in curve.values],

@@ -98,12 +98,15 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
     row per time for a vector), and returns the array of its values there.
     Returns ``(value, im_residue)``, as floats for a scalar t and as arrays
     for a vector; a result is trustworthy only when its residue is small
-    (< 1e-8 for the resolvent wrappers).
+    (< 1e-8 for the resolvent wrappers).  ``contour_scale`` floors the
+    contour radius and must be finite.
     """
     times = np.asarray(t, dtype=float)
     bad = times[~(np.isfinite(times) & (times > 0.0))]
     if bad.size:
         raise DomainError(f"inversion requires t > 0, got {float(bad[0])}")
+    if not math.isfinite(contour_scale):
+        raise DomainError(f"contour_scale must be finite, got {contour_scale}")
     radius = max(contour_scale, min(cfg.n_nodes / 5.0, 16.0))
     # A contour, transform or sum that overflows (t near 0, say) is reported
     # through the sum's non-finite value.
@@ -142,9 +145,8 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
         nonlocal guarded
         near = np.abs(laplace_S_hat_den(prob, lam)) < _NODE_POLE_TOL
         rows = np.flatnonzero(near.any(axis=-1))
-        if not rows.size:
-            return laplace_S_hat(prob, lam)
-        guarded = int(rows[0])
+        if rows.size:
+            guarded = int(rows[0])
         vals = np.full(lam.shape, np.nan, dtype=np.complex128)
         if guarded:
             vals[:guarded] = laplace_S_hat(prob, lam[:guarded])

@@ -66,9 +66,9 @@ class CurveMethod(str, enum.Enum):
 class Curve:
     """A time grid and sampled values of S(t) with provenance.
 
-    When ``problem`` is attached the samples are a resolvent curve and must
-    start at (t, S) = (0, 1); synthetic curves used for fitting may pass
-    ``problem=None`` and any grid.
+    The values must be finite.  When ``problem`` is attached the samples
+    are a resolvent curve and must start at (t, S) = (0, 1); synthetic
+    curves used for fitting may pass ``problem=None`` and any grid.
     """
 
     times: np.ndarray
@@ -84,6 +84,8 @@ class Curve:
         self.times = _validate_grid(self.times, from_zero=self.problem is not None)
         if self.times.shape != self.values.shape:
             raise DomainError("times and values must be of equal length")
+        if not np.isfinite(self.values).all():
+            raise DomainError("curve values must be finite")
         if self.problem is not None and abs(self.values[0] - 1.0) > 1e-9:
             raise DomainError("resolvent curves must satisfy S(0) = 1")
 

@@ -47,6 +47,7 @@ engine on one element and costs 0.1-0.8 ms, so callers pass whole tables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer count or index; a bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class MLParams:
     """Index pair of the Mittag-Leffler family: first index mu+1, second and
@@ -73,7 +79,7 @@ class MLParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.mu <= 1.0):
             raise DomainError(f"mu must lie in (0, 1], got {self.mu}")
-        if self.k < 0 or int(self.k) != self.k:
+        if not _is_int(self.k) or self.k < 0:
             raise DomainError(f"k must be a non-negative integer, got {self.k}")
 
 
@@ -91,7 +97,7 @@ class SeriesControl:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 16:
+        if not _is_int(self.max_terms) or self.max_terms < 16:
             raise DomainError(f"max_terms must be >= 16, got {self.max_terms}")
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, MemdiffError, ModeError,
                      TruncationError)
-from .resolvent import (Curve, CurveMethod, _validate_grid, series_S,
-                        series_curve)
+from .resolvent import Curve, CurveMethod, series_S, series_curve
+from .special import _is_int
 from .symbols import KernelParams, ScalarProblem
 from .volterra import (_check_batch, solve_volterra, solve_volterra_batch,
                        volterra_grid)
@@ -46,7 +46,7 @@ class SpectralModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise DomainError(f"length must be > 0, got {self.length}")
-        if self.n_modes < 1:
+        if not _is_int(self.n_modes) or self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
         try:
             top = self.eigenvalue(self.n_modes)
@@ -86,18 +86,16 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
     """
     prob = ScalarProblem(params, -model.eigenvalue(n))
     method = CurveMethod(method)
-    if method is CurveMethod.SERIES:
-        times = _validate_grid(times)
-    elif method is CurveMethod.VOLTERRA:
-        cfg = volterra_grid(times)[0]
-    else:
-        raise DomainError(f"unsupported mode-curve method {method!r}")
     try:
         if method is CurveMethod.SERIES:
             return series_curve(prob, times)
-        return solve_volterra(prob, cfg)
+        if method is CurveMethod.VOLTERRA:
+            return solve_volterra(prob, volterra_grid(times)[0])
+    except DomainError:
+        raise
     except MemdiffError as exc:
         raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
+    raise DomainError(f"unsupported mode-curve method {method!r}")
 
 
 def field(model: SpectralModel, params: KernelParams, u0_coeffs, t: float,
@@ -107,10 +105,12 @@ def field(model: SpectralModel, params: KernelParams, u0_coeffs, t: float,
     if len(u0_coeffs) != model.n_modes:
         raise DomainError(
             f"expected {model.n_modes} coefficients, got {len(u0_coeffs)}")
+    if not np.isfinite(np.asarray(u0_coeffs, dtype=float)).all():
+        raise DomainError("u0_coeffs must be finite")
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     x = np.asarray(x_grid, dtype=float)
-    if np.any(x < 0.0) or np.any(x > model.length):
+    if not np.all((x >= 0.0) & (x <= model.length)):  # NaN fails too
         raise DomainError("x_grid must lie inside [0, length]")
     out = np.zeros_like(x)
     for (lam_n, phi), coeff, n in zip(

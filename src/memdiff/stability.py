@@ -51,7 +51,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, HypothesisError
 from .inversion import invert_S_curve
 from .resolvent import Curve, CurveMethod, _series_grid
-from .special import DEFAULT_SERIES_CONTROL
+from .special import DEFAULT_SERIES_CONTROL, _is_int
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
 from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
@@ -120,7 +120,7 @@ class RateFit:
 @dataclass(frozen=True)
 class BoundCheck:
     c_min: float
-    c_min_doubled: float | None
+    c_min_doubled: float
     holds: bool
 
 
@@ -194,29 +194,29 @@ def fit_decay_rate(curve: Curve) -> RateFit:
     return RateFit(float(slope), r2, oscillatory)
 
 
-def verify_bound(curve: Curve, bound: DecayBound,
-                 doubled: Curve | None = None) -> BoundCheck:
-    """Smallest C with |values| <= C (1 + poly t^p) e^{rate t} on the grid.
+def verify_bound(curve: Curve, bound: DecayBound, doubled: Curve) -> BoundCheck:
+    """Smallest C with |values| <= C (1 + poly t^p) e^{rate t} on the grid,
+    for ``curve`` and for its ``doubled``-horizon twin.
 
-    Samples below 1e-12 times the curve's sup norm are ignored:
+    Samples below 1e-12 times a curve's sup norm are ignored:
     they sit at or below the solver's roundoff floor, where the ratio
-    against a decaying envelope measures noise, not the solution.  With a
-    ``doubled``-horizon curve, ``holds`` additionally requires C to grow
-    less than 5% under the doubling.
+    against a decaying envelope measures noise, not the solution; a curve
+    with no sample above that floor (all zero) raises :class:`DomainError`.
+    ``holds`` needs both C finite and growing less than 5% under the doubling.
     """
 
     def c_min_of(c: Curve) -> float:
         v = np.abs(c.values)
         keep = v > 1e-12 * v.max()
+        if not keep.any():
+            raise DomainError("no sample lies above the 1e-12 floor of the "
+                              "curve's sup norm")
         env = (1.0 + bound.poly_coeff * c.times[keep] ** bound.poly_power) \
             * np.exp(bound.rate * c.times[keep])
         return float(np.max(v[keep] / env))
 
-    c1 = c_min_of(curve)
-    c2 = c_min_of(doubled) if doubled is not None else None
-    holds = bool(np.isfinite(c1))
-    if c2 is not None:
-        holds = holds and np.isfinite(c2) and (c2 - c1) < 0.05 * c1
+    c1, c2 = c_min_of(curve), c_min_of(doubled)
+    holds = bool(np.isfinite(c1) and np.isfinite(c2) and (c2 - c1) < 0.05 * c1)
     return BoundCheck(c1, c2, holds)
 
 
@@ -230,7 +230,6 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    params: KernelParams
     seed: int
     checks: tuple[LemmaCheck, ...]
 
@@ -254,9 +253,12 @@ def _sample_left_half(rng: np.random.Generator, n: int, r_min: float) -> np.ndar
     return modulus * np.exp(1j * arg)
 
 
-def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
-                         seed: int = 0) -> LemmaReport:
-    """Sampled verification of the four symbol inequalities.
+_LEMMA_SAMPLES = 10_000
+
+
+def lemma_property_suite(params: KernelParams, seed: int = 0) -> LemmaReport:
+    """Sampled verification of the four symbol inequalities, on
+    ``_LEMMA_SAMPLES`` = 10,000 lambdas per half plane.
 
     Violations are data, not errors; a clean run reports zero for every
     check.  A check whose margins are not finite floats (its region lies
@@ -266,7 +268,7 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     freely.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
-    if seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if not classify(params, 0.0).supported:
         raise HypothesisError(
@@ -274,7 +276,7 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     g_cap = 1.0 if alpha > 0.0 else beta ** mu / (alpha + beta ** mu)
 
     rng = np.random.Generator(np.random.Philox(seed))
-    lam = _sample_right_half(rng, n_samples)
+    lam = _sample_right_half(rng, _LEMMA_SAMPLES)
 
     checks = []
 
@@ -307,12 +309,12 @@ def lemma_property_suite(params: KernelParams, n_samples: int = 10_000,
     # Past the float range (mu near 0, say) the moduli or the symbol are not
     # finite, and record refuses the margins that follow from them.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam_left = _sample_left_half(rng, n_samples, r_min)
+        lam_left = _sample_left_half(rng, _LEMMA_SAMPLES, r_min)
         ht = symbol_h_tilde(params, lam_left)
         margins = (1.0 + mu) * np.abs(np.angle(lam_left)) - np.abs(np.angle(ht))
     record("arg_h_tilde", margins, 1e-10)
 
-    return LemmaReport(params, seed, tuple(checks))
+    return LemmaReport(seed, tuple(checks))
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:

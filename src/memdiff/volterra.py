@@ -47,9 +47,9 @@ No BLAS call takes more than ``_DOT_CHUNK`` = 10,000 elements: OpenBLAS
 splits a longer ``ddot`` across its threads, and the rounding would then
 depend on their number (``OPENBLAS_NUM_THREADS``).  A longer history sum is
 the in-order sum of dots over chunks of at most 10,000 elements, from the
-oldest, in both loops and in the same order, so a march of at most 10,001
-steps takes one dot per step and keeps its bits, and a longer one does not
-depend on the thread count or on its batch.
+oldest, by one helper (``_chunked_dot``) for both loops, so a march of at
+most 10,001 steps takes one dot per step and keeps its bits, and a longer
+one does not depend on the thread count or on its batch.
 A matrix-vector product (``@`` on the batch), ``sum``, ``math.fsum``, a
 reciprocal of the denominator and fused forms regroup or reround the
 arithmetic and are not used.  The march is causal, so the first n + 1 values
@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, StepSizeError
 from .resolvent import Curve, CurveMethod, _validate_grid
-from .special import reg_lower_inc_gamma
+from .special import _is_int, reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
 __all__ = ["VolterraConfig", "kernel_a", "solve_volterra",
@@ -100,7 +100,7 @@ class VolterraConfig:
         if not (0.0 < self.dt <= 0.1):
             raise DomainError(
                 f"dt must lie in (0, 0.1] for the accuracy claims, got {self.dt}")
-        if not (1 <= self.n_steps <= _MAX_STEPS):
+        if not (_is_int(self.n_steps) and 1 <= self.n_steps <= _MAX_STEPS):
             raise DomainError(
                 f"n_steps must lie in [1, {_MAX_STEPS}], got {self.n_steps}")
 
@@ -174,19 +174,13 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
             _march_row(a_rev, half_a, float(rho_dt[0]), float(denom[0]), u[0])
         else:
             hist = np.empty(rhos.size)
-            part = np.empty(rhos.size)
             one_dot = _DOT_CHUNK + 1  # the last step whose history is one dot
             for i in range(1, n + 1):
                 # (1 + rho dt (a_i / 2 + dot)) / denom, in place
                 if i <= one_dot:
                     np.vecdot(a_rev[n - i + 1:n], u[:, 1:i], out=hist)
                 else:
-                    hist.fill(0.0)
-                    for lo in range(1, i, _DOT_CHUNK):
-                        hi = min(i, lo + _DOT_CHUNK)
-                        np.vecdot(a_rev[n - i + lo:n - i + hi], u[:, lo:hi],
-                                  out=part)
-                        hist += part
+                    hist[:] = _chunked_dot(a_rev[n - i + 1:n], u[:, 1:i])
                 hist += half_a[i]
                 hist *= rho_dt
                 hist += 1.0
@@ -213,11 +207,18 @@ def _march_row(a_rev, half_a: list, rho_dt: float, denom: float,
         hist = half_a[i] + float(a_rev[n - i + 1:n].dot(row[1:i]))
         row[i] = (1.0 + rho_dt * hist) / denom
     for i in range(_DOT_CHUNK + 2, n + 1):
-        dot = 0.0
-        for lo in range(1, i, _DOT_CHUNK):
-            hi = min(i, lo + _DOT_CHUNK)
-            dot += float(a_rev[n - i + lo:n - i + hi].dot(row[lo:hi]))
+        dot = float(_chunked_dot(a_rev[n - i + 1:n], row[1:i]))
         row[i] = (1.0 + rho_dt * (half_a[i] + dot)) / denom
+
+
+def _chunked_dot(a, u):
+    """``np.vecdot(a, u)`` for one row or a batch ``u``, as the in-order sum
+    of dots over chunks of at most ``_DOT_CHUNK`` elements, oldest first."""
+    total = 0.0
+    for lo in range(0, a.size, _DOT_CHUNK):
+        hi = lo + _DOT_CHUNK
+        total = total + np.vecdot(a[lo:hi], u[..., lo:hi])
+    return total
 
 
 def solve_volterra(prob: ScalarProblem, cfg: VolterraConfig) -> Curve:

@@ -131,7 +131,7 @@ def test_criterion_3_lemma_suites():
     ]
     worst = math.inf
     for params in configs:
-        rep = lemma_property_suite(params, n_samples=10_000, seed=1)
+        rep = lemma_property_suite(params, seed=1)
         assert rep.total_violations == 0, (params, rep.violation_counts())
         for check in rep.checks:
             assert check.worst_margin >= -1e-10

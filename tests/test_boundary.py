@@ -1,0 +1,100 @@
+"""The public boundary: inputs outside a call's contract raise a typed
+error (a :class:`DomainError`), never a raw Python exception or a silent
+NaN, and the CLI reads every float literal that ``float`` reads as a
+number."""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from memdiff import (Curve, DomainError, KernelParams, MLParams, ModeError,
+                     SeriesControl, SpectralModel, VolterraConfig,
+                     field, invert_transform, lemma_property_suite,
+                     mode_curve, theoretical_bound, verify_bound)
+from memdiff.cli import main
+
+PARAMS = KernelParams(1.0, 0.5, 0.5)
+MODEL = SpectralModel(1.0, 2)
+T = np.linspace(0.0, 1.0, 5)
+
+
+def synthetic(values) -> Curve:
+    return Curve(T, values, "synthetic", None)
+
+
+def zero_bound():
+    bound = theoretical_bound(PARAMS, -1.0)
+    curve = synthetic(np.zeros(T.size))
+    return verify_bound(curve, bound, doubled=curve)
+
+
+@pytest.mark.parametrize("call", [
+    # Integer parameters: a float or a bool is no integer.
+    lambda: MLParams(0.5, 2.0),
+    lambda: MLParams(0.5, True),
+    lambda: SeriesControl(max_terms=100.5),
+    lambda: VolterraConfig(0.01, 2.5),
+    lambda: VolterraConfig(0.01, True),
+    lambda: SpectralModel(1.0, 2.5),
+    lambda: SpectralModel(1.0, True),
+    lambda: lemma_property_suite(PARAMS, seed=1.5),
+    lambda: lemma_property_suite(PARAMS, seed=True),
+    # Non-finite or empty numeric inputs.
+    lambda: synthetic([1.0, np.nan, 0.5, 0.2, 0.1]),
+    lambda: synthetic([1.0, np.inf, 0.5, 0.2, 0.1]),
+    zero_bound,
+    lambda: field(MODEL, PARAMS, [1.0, 0.0], 0.3, [0.2, np.nan]),
+    lambda: field(MODEL, PARAMS, [np.nan, 0.0], 0.3, [0.2, 0.5]),
+    lambda: field(MODEL, PARAMS, [1.0, np.inf], 0.3, [0.2, 0.5]),
+    lambda: invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
+                             contour_scale=np.nan),
+    lambda: invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
+                             contour_scale=np.inf),
+], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-steps-float",
+        "n-steps-bool", "n-modes-float", "n-modes-bool", "seed-float",
+        "seed-bool", "curve-nan", "curve-inf", "bound-all-zero", "field-x-nan",
+        "field-coeff-nan", "field-coeff-inf", "contour-scale-nan",
+        "contour-scale-inf"])
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_mode_curve_passes_a_kernel_domain_error_through():
+    # beta^-mu overflows: an argument error, as on operator_norm_curve.
+    with pytest.raises(DomainError, match="beta\\^-mu") as info:
+        mode_curve(MODEL, KernelParams(1.0, 1e-310, 1.0), 1,
+                   np.linspace(0.0, 0.5, 11), method="volterra")
+    assert not isinstance(info.value, ModeError)
+
+
+def run(argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, exponent, decimal", [
+    ("scalar-curve -a {} -b 1 -m 0.5 -r -1 --points 3", "-1e-1", "-0.1"),
+    ("classify -a 1 -b 1 -m 0.5 -w {}", "-2E0", "-2.0"),
+    ("eval-ml -m 0.5 -k 1 --z {}", "-1e1", "-10.0"),
+    ("scalar-curve -a 1 -b 1 -m 0.5 -r {} --points 3", "-1e-3", "-0.001"),
+])
+def test_cli_reads_negative_exponent_literals(argv, exponent, decimal):
+    expected = run(argv.format(decimal))
+    assert expected[0] == 0
+    assert run(argv.format(exponent)) == expected
+
+
+@pytest.mark.parametrize("literal", ["-inf", "-x"])
+def test_cli_non_numeric_negative_is_a_usage_error(literal):
+    code, out, err = run(f"classify -a 1 -b 1 -m 0.5 -w {literal}")
+    assert (code, out) == (64, "")
+    assert err.endswith("memdiff classify: error: argument --omega/-w: "
+                        "expected one argument\n")

@@ -158,7 +158,9 @@ class TestVerifyBound:
         t = np.linspace(0.0, 20.0, 801)
         curve = Curve(t, np.exp(-0.7 * t), "synthetic", None)
         bound = theoretical_bound(KernelParams(1.0, 0.7, 0.5), omega=-1.0)
-        check = verify_bound(curve, bound)
+        t2 = np.linspace(0.0, 40.0, 1601)
+        doubled = Curve(t2, np.exp(-0.7 * t2), "synthetic", None)
+        check = verify_bound(curve, bound, doubled=doubled)
         assert check.c_min == pytest.approx(1.0, rel=1e-12)
         assert check.holds
 
@@ -193,25 +195,24 @@ class TestLemmaPropertySuite:
 
     @pytest.mark.parametrize("params", CONFIGS)
     def test_zero_violations(self, params):
-        report = lemma_property_suite(params, n_samples=2000, seed=5)
+        report = lemma_property_suite(params, seed=5)
         assert report.total_violations == 0
         for check in report.checks:
             assert check.worst_margin >= -1e-10
 
     def test_g_cap_value(self):
-        report = lemma_property_suite(KernelParams(-0.2, 1.0, 0.5),
-                                      n_samples=500, seed=5)
+        report = lemma_property_suite(KernelParams(-0.2, 1.0, 0.5), seed=5)
         assert report.violation_counts() == {
             "g_bound": 0, "arg_h": 0, "re_power": 0, "arg_h_tilde": 0}
 
     def test_deterministic_given_seed(self):
-        a = lemma_property_suite(self.CONFIGS[0], n_samples=500, seed=42)
-        b = lemma_property_suite(self.CONFIGS[0], n_samples=500, seed=42)
+        a = lemma_property_suite(self.CONFIGS[0], seed=42)
+        b = lemma_property_suite(self.CONFIGS[0], seed=42)
         assert a == b
 
     def test_unsupported_regime_rejected(self):
         with pytest.raises(HypothesisError):
-            lemma_property_suite(KernelParams(-1.0, 1.0, 0.5), n_samples=10)
+            lemma_property_suite(KernelParams(-1.0, 1.0, 0.5))
 
     @pytest.mark.parametrize("params", [
         KernelParams(1.0, 0.0, 0.0005),  # (2|alpha|)^(1/mu) overflows
@@ -219,12 +220,12 @@ class TestLemmaPropertySuite:
         KernelParams(1e300, 0.0, 1.0),  # the moduli are finite, h_tilde not
     ])
     def test_margins_past_the_float_range_are_no_clean_result(self, params):
-        with pytest.raises(AccuracyError, match=r"^arg_h_tilde: \d+ of 100 "
+        with pytest.raises(AccuracyError, match=r"^arg_h_tilde: \d+ of 10000 "
                            "sampled margins are not finite$"):
-            lemma_property_suite(params, n_samples=100)
+            lemma_property_suite(params)
 
     def test_report_serializes(self):
-        report = lemma_property_suite(self.CONFIGS[1], n_samples=100, seed=1)
+        report = lemma_property_suite(self.CONFIGS[1], seed=1)
         assert report.seed == 1
         assert set(report.violation_counts()) == {
             "g_bound", "arg_h", "re_power", "arg_h_tilde"}
