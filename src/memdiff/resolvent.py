@@ -89,9 +89,6 @@ class Curve:
         if self.problem is not None and abs(self.values[0] - 1.0) > 1e-9:
             raise DomainError("resolvent curves must satisfy S(0) = 1")
 
-    def __len__(self) -> int:
-        return int(self.times.size)
-
 
 def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
     """``times`` as a non-empty, finite, strictly increasing 1-D float array
@@ -136,6 +133,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
     times = grid.tolist()
     live, zs, cs, damps = [], [], [], []
     for i, t in enumerate(times):
+        # Needed: if alpha * rho overflows, z at t = 0 would be inf * 0 = NaN.
         if t == 0.0:
             values[i] = 1.0
             continue
@@ -224,10 +222,9 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
     return values, failures
 
 
-def series_S(prob: ScalarProblem, t: float,
-             ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> float:
-    """Evaluate S(t) by the Mittag-Leffler series: the grid engine on the
-    one-point grid [t].
+def series_S(prob: ScalarProblem, t: float) -> float:
+    """S(t) by the Mittag-Leffler series: the grid engine on the one-point
+    grid [t] under ``DEFAULT_SERIES_CONTROL``; ``series_curve`` takes a ctl.
 
     Raises :class:`ConvergenceError` when the outer or inner series fails
     its truncation policy, a term overflows, or cancellation has destroyed
@@ -235,7 +232,8 @@ def series_S(prob: ScalarProblem, t: float,
     """
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    values, failures = _series_grid(prob, np.array([t], dtype=float), ctl)
+    values, failures = _series_grid(prob, np.array([t], dtype=float),
+                                    DEFAULT_SERIES_CONTROL)
     if failures:
         raise failures[0]
     return float(values[0])

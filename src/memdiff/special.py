@@ -81,6 +81,9 @@ class MLParams:
             raise DomainError(f"mu must lie in (0, 1], got {self.mu}")
         if not _is_int(self.k) or self.k < 0:
             raise DomainError(f"k must be a non-negative integer, got {self.k}")
+        # Past 2**53, k + n + 1.0 in the coefficient walk is not exact.
+        if self.k >= 2 ** 53:
+            raise DomainError(f"k must be < 2**53, got {self.k}")
 
 
 # Successive terms below rel_tol times the running sum that stop a series.

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HypothesisError
 from .inversion import invert_S_curve
-from .resolvent import Curve, CurveMethod, _series_grid
+from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
 from .special import DEFAULT_SERIES_CONTROL, _is_int
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
@@ -327,7 +327,12 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
                    tol: float, omega: float | None, seed: int) -> dict:
     """The ``memdiff verify`` report on ``grid`` (from t = 0), a JSON-ready
     dict: three-route agreement within ``tol``, the lemma suites and, where
-    decay applies for ``omega`` (None means rho), the decay checks."""
+    decay applies for ``omega`` (None means rho), the decay checks.  A bad
+    grid, then a ``tol`` not finite and > 0, raise DomainError before any
+    route runs."""
+    grid = _validate_grid(grid)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     omega = prob.rho if omega is None else omega
     regime = classify(prob.params, omega)
 

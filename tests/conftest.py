@@ -4,6 +4,10 @@ from hypothesis import assume, strategies as st
 
 from memdiff import KernelParams, ScalarProblem
 
+# Indices k from 2**53 on, where k + n + 1.0 in the Mittag-Leffler
+# coefficient walk is no longer exact.
+HUGE_K = (2 ** 53, 2 ** 62, 2 ** 63 - 1, 2 ** 64, 10 ** 30)
+
 
 def problem(alpha, beta, mu, rho) -> ScalarProblem:
     return ScalarProblem(KernelParams(alpha, beta, mu), rho)

@@ -5,15 +5,19 @@ number."""
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
 
 from memdiff import (Curve, DomainError, KernelParams, MLParams, ModeError,
-                     SeriesControl, SpectralModel, VolterraConfig,
-                     field, invert_transform, lemma_property_suite,
-                     mode_curve, theoretical_bound, verify_bound)
+                     ScalarProblem, SeriesControl, SpectralModel,
+                     VolterraConfig, field, invert_transform,
+                     lemma_property_suite, mode_curve, theoretical_bound,
+                     verify_bound, verify_problem)
+from memdiff import stability
 from memdiff.cli import main
+from conftest import HUGE_K
 
 PARAMS = KernelParams(1.0, 0.5, 0.5)
 MODEL = SpectralModel(1.0, 2)
@@ -52,14 +56,39 @@ def zero_bound():
                              contour_scale=np.nan),
     lambda: invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
                              contour_scale=np.inf),
+    lambda: verify_problem(ScalarProblem(PARAMS, -1.0), np.zeros((2, 2)),
+                           0.0025, 1e-4, None, 0),
 ], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-steps-float",
         "n-steps-bool", "n-modes-float", "n-modes-bool", "seed-float",
         "seed-bool", "curve-nan", "curve-inf", "bound-all-zero", "field-x-nan",
         "field-coeff-nan", "field-coeff-inf", "contour-scale-nan",
-        "contour-scale-inf"])
+        "contour-scale-inf", "verify-grid-2d"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("k", HUGE_K)
+def test_ml_index_past_2_53_is_refused(k):
+    with pytest.raises(DomainError, match=r"k must be < 2\*\*53"):
+        MLParams(0.5, k)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_verify_problem_refuses_a_bad_tol_before_any_route(tol, monkeypatch):
+    def spy(*args):
+        raise AssertionError("the series route ran")
+
+    monkeypatch.setattr(stability, "_series_grid", spy)
+    with pytest.raises(DomainError, match="tol must be finite and > 0"):
+        verify_problem(ScalarProblem(PARAMS, -1.0), T, 0.0025, tol, None, 0)
+
+
+def test_verify_problem_takes_a_list_grid():
+    prob = ScalarProblem(PARAMS, -1.0)
+    assert (verify_problem(prob, [0.0, 0.5, 1.0], 0.0025, 1e-4, None, 0)
+            == verify_problem(prob, np.linspace(0.0, 1.0, 3), 0.0025, 1e-4,
+                              None, 0))
 
 
 def test_mode_curve_passes_a_kernel_domain_error_through():

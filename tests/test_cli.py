@@ -16,6 +16,7 @@ from memdiff import (ConvergenceError, HypothesisError, KernelParams,
                      ScalarProblem, series_S, verify_problem)
 from memdiff import cli
 from memdiff.cli import main
+from conftest import HUGE_K
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -84,9 +85,11 @@ MISSING = object()
     (("verify", *GOLDEN, "--points", "3", "--seed", "-1"), 64,
      "seed must be >= 0"),
     (("verify", *GOLDEN, "--points", "3", "--tol", "nan"), 64,
-     "--tol must be finite and > 0"),
+     "tol must be finite and > 0"),
     (("verify", *GOLDEN, "--points", "3", "--tol", "-1"), 64,
-     "--tol must be finite and > 0"),
+     "tol must be finite and > 0"),
+    (("verify", *GOLDEN, "--points", "3", "--tol", "inf"), 64,
+     "tol must be finite and > 0"),
     # an --out in a directory that does not exist
     (("scalar-curve", *GOLDEN, "--points", "3", "--out", MISSING), 64,
      "[Errno 2] No such file or directory"),
@@ -134,17 +137,22 @@ MISSING = object()
     (("verify", "-a", "1", "-b", "1e308", "-m", "0.5", "-r", "-1",
       "--points", "3"), 2,
      "the contour radius 2(|rho| + beta) is not a finite float"),
+    # k + n + 1.0 is not exact past 2**53
+    *((("eval-ml", "-m", "0.5", "-k", str(k), "--z", "-1"), 64,
+       "k must be < 2**53") for k in HUGE_K),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
-        "verify-tol-nan", "verify-tol-negative", "scalar-curve-out-missing",
-        "norm-curve-out-missing", "verify-out-missing",
-        "norm-curve-length-1e-200", "norm-curve-batch-bound",
+        "verify-tol-nan", "verify-tol-negative", "verify-tol-inf",
+        "scalar-curve-out-missing", "norm-curve-out-missing",
+        "verify-out-missing", "norm-curve-length-1e-200",
+        "norm-curve-batch-bound",
         "scalar-curve-points-1e12", "norm-curve-points-1e12",
         "verify-points-1e12", "scalar-curve-beta-5e-324",
         "norm-curve-beta-5e-324", "verify-beta-5e-324", "verify-mu-5e-4",
         "classify-alpha-omega-1e310", "laplace-tmax-1e-320",
-        "laplace-beta-1e308", "verify-beta-1e308"])
+        "laplace-beta-1e308", "verify-beta-1e308",
+        *(f"eval-ml-k-{k}" for k in HUGE_K)])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))

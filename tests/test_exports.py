@@ -5,6 +5,7 @@ numpy alone, so no module imports anything else from outside the standard
 library."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -96,3 +97,31 @@ def test_runtime_imports_are_numpy_only(name):
     allowed = set(sys.stdlib_module_names) | {"numpy", "memdiff"}
     module = importlib.import_module(name)
     assert sorted(_imported_packages(module) - allowed) == []
+
+
+# Every optional parameter of a public function and every field of a public
+# config, by name, so that a new knob has to be added here.
+_PUBLIC_OPTIONS = [
+    "invert_S.cfg", "invert_S_curve.cfg", "invert_transform.cfg",
+    "invert_transform.contour_scale", "lemma_property_suite.seed",
+    "mode_curve.method", "operator_norm_curve.method",
+    "operator_norm_curve.dt", "prabhakar_ml.ctl", "series_curve.ctl",
+    "volterra_grid.dt", "InversionConfig.n_nodes", "SeriesControl.rel_tol",
+    "SeriesControl.max_terms", "VolterraConfig.dt", "VolterraConfig.n_steps",
+    "VolterraConfig.richardson",
+]
+
+
+def test_public_option_set_is_pinned():
+    options = []
+    for name in memdiff.__all__:
+        obj = getattr(memdiff, name)
+        if inspect.isfunction(obj):
+            options += [f"{name}.{p.name}" for p in
+                        inspect.signature(obj).parameters.values()
+                        if p.default is not inspect.Parameter.empty]
+    for config in (memdiff.InversionConfig, memdiff.SeriesControl,
+                   memdiff.VolterraConfig):
+        options += [f"{config.__name__}.{f.name}"
+                    for f in dataclasses.fields(config)]
+    assert sorted(options) == sorted(_PUBLIC_OPTIONS)

@@ -50,6 +50,13 @@ class TestSeriesS:
         i = 400  # t = 1
         assert series_S(prob, 1.0) == pytest.approx(curve.values[i], abs=2e-5)
 
+    def test_value_at_zero_when_alpha_rho_overflows(self):
+        # z = alpha rho t^(mu+1) would be (-inf) * 0 = NaN at t = 0.
+        prob = problem(1e200, 1.0, 0.5, -1e200)
+        assert series_S(prob, 0.0) == 1.0
+        with pytest.raises(ConvergenceError, match="^t=0.5: "):
+            series_curve(prob, [0.0, 0.5, 1.0])
+
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             series_S(problem(1.0, 0.0, 0.5, -1.0), -0.5)
@@ -201,7 +208,7 @@ class TestCurveType:
     def test_synthetic_curve_allows_any_window(self):
         t = np.linspace(10.0, 20.0, 5)
         c = Curve(t, np.exp(-t), "synthetic", None)
-        assert len(c) == 5
+        assert c.times.size == 5
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
