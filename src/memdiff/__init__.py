@@ -7,10 +7,10 @@ The central object is the scalar family S(t) solving
     kappa(t) = alpha e^{-beta t} t^{mu-1} / Gamma(mu),
 
 computed by three mutually validating routes (Mittag-Leffler series,
-Volterra product integration, contour inversion of the closed-form Laplace
-transform), together with regime classification and decay-bound
-verification, and the diagonal Dirichlet-Laplacian realization on an
-interval.
+Volterra product integration on a uniform grid from 0, contour inversion of
+the closed-form Laplace transform), together with regime classification and
+decay-bound verification, and the diagonal Dirichlet-Laplacian realization
+on an interval.
 """
 
 from .errors import (AccuracyError, ContourError, ConvergenceError,
@@ -30,9 +30,7 @@ from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         theoretical_bound, verify_bound, verify_problem)
 from .symbols import (KernelParams, ScalarProblem, laplace_S_hat,
                       laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
-from .volterra import (VolterraConfig, kernel_a, solve_volterra,
-                       solve_volterra_batch, solve_volterra_on_grid,
-                       volterra_grid)
+from .volterra import kernel_a, solve_volterra, solve_volterra_batch
 
 __version__ = "0.1.0"
 
@@ -43,13 +41,12 @@ __all__ = [
     "LemmaCheck", "LemmaReport", "MLParams", "MemdiffError", "ModeError",
     "RateFit", "Regime", "RegimeClass",
     "ScalarProblem", "SeriesControl", "SingularityError", "SpectralModel",
-    "StepSizeError", "TruncationError", "VolterraConfig", "classify",
+    "StepSizeError", "TruncationError", "classify",
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
     "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
     "mode_curve", "mu1_closed_form", "operator_norm_curve",
     "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
-    "solve_volterra", "solve_volterra_batch", "solve_volterra_on_grid",
-    "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",
-    "verify_bound", "verify_problem", "volterra_grid",
+    "solve_volterra", "solve_volterra_batch", "symbol_g", "symbol_h",
+    "symbol_h_tilde", "theoretical_bound", "verify_bound", "verify_problem",
 ]

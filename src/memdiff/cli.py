@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, MemdiffError
 from .inversion import InversionConfig, invert_S_curve
-# Nothing here calls series_S, solve_volterra, fit_decay_rate, verify_bound or
+# Nothing here calls series_S, fit_decay_rate, verify_bound or
 # lemma_property_suite; the benchmark's tracer hooks them in this module.
 from .resolvent import Curve, CurveMethod, series_S, series_curve  # noqa: F401
 from .special import MLParams, SeriesControl, _prabhakar_full
@@ -37,7 +37,7 @@ from .stability import (SCHEMA_VERSION, classify, fit_decay_rate,  # noqa: F401
                         lemma_property_suite, theoretical_bound, verify_bound,
                         verify_problem)
 from .symbols import KernelParams, ScalarProblem
-from .volterra import solve_volterra, solve_volterra_on_grid  # noqa: F401
+from .volterra import solve_volterra
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,7 +143,7 @@ def cmd_scalar_curve(args) -> int:
     if method is CurveMethod.SERIES:
         curve = series_curve(prob, grid, SeriesControl(rel_tol=args.rel_tol))
     elif method is CurveMethod.VOLTERRA:
-        curve = solve_volterra_on_grid(prob, grid, args.dt)
+        curve = solve_volterra(prob, grid, args.dt)
     else:
         curve = invert_S_curve(prob, grid, InversionConfig(n_nodes=args.nodes))
     return _write_curve(args, curve)

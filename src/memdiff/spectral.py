@@ -19,13 +19,13 @@ from typing import Callable
 
 import numpy as np
 
+from . import volterra
 from .errors import (AccuracyError, DomainError, MemdiffError, ModeError,
                      TruncationError)
 from .resolvent import Curve, CurveMethod, series_S, series_curve
 from .special import _is_int
 from .symbols import KernelParams, ScalarProblem
-from .volterra import (_check_batch, solve_volterra, solve_volterra_batch,
-                       volterra_grid)
+from .volterra import solve_volterra
 
 __all__ = [
     "SpectralModel",
@@ -90,7 +90,7 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
         if method is CurveMethod.SERIES:
             return series_curve(prob, times)
         if method is CurveMethod.VOLTERRA:
-            return solve_volterra(prob, volterra_grid(times)[0])
+            return solve_volterra(prob, times)
     except DomainError:
         raise
     except MemdiffError as exc:
@@ -131,7 +131,7 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     """Pointwise sup over modes of |S_n(t)|, exact for this diagonal family.
 
     The Volterra route marches every mode in one batch on the stepping grid
-    of :func:`~memdiff.volterra.volterra_grid`: ``times`` itself, or, when
+    of :func:`~memdiff.volterra.solve_volterra`: ``times`` itself, or, when
     ``dt`` is given, ``times`` with each cell split into steps no longer
     than ``dt``.  The series route ignores ``dt``.
 
@@ -142,19 +142,20 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     method = CurveMethod(method)
     per_cell = 1
     if method is CurveMethod.VOLTERRA:
-        cfg, per_cell = volterra_grid(times, dt)
+        grid, step, n_steps, per_cell = volterra._stepping(times, dt)
         # A batch too large is no mode's failure; it is refused before the
         # list of rhos is built.
-        _check_batch(model.n_modes, cfg.n_steps)
+        volterra._check_batch(model.n_modes, n_steps)
         rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
         try:
-            stacked = np.abs(solve_volterra_batch(params, rhos, cfg))
+            # The rows on the whole stepping grid, for the truncation check;
+            # called through the module, where the benchmark's tracer hooks it.
+            stacked = np.abs(volterra._solve_grid(params, step, n_steps, rhos))
         except AccuracyError as exc:
             # A solution that is not finite names its row; any other
             # failure of the shared march is no one mode's and passes as is.
             n = exc.row + 1
             raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
-        grid = times
     else:
         curves = [mode_curve(model, params, n, times, method)
                   for n in range(1, model.n_modes + 1)]

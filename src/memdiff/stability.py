@@ -54,7 +54,7 @@ from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
 from .special import DEFAULT_SERIES_CONTROL, _is_int
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
-from .volterra import VolterraConfig, solve_volterra, solve_volterra_on_grid
+from .volterra import _check_steps, solve_volterra
 
 __all__ = [
     "RegimeClass",
@@ -113,7 +113,6 @@ class RateFit:
     local-maxima envelope fallback."""
 
     rate: float
-    r_squared: float
     oscillatory: bool
 
 
@@ -186,12 +185,8 @@ def fit_decay_rate(curve: Curve) -> RateFit:
             raise AccuracyError(
                 "tail window has sign changes but fewer than 2 envelope peaks")
         t, v = t[peaks], w[peaks]
-    y = np.log(np.abs(v))
-    slope, intercept = np.polyfit(t, y, 1)
-    residual = y - (slope * t + intercept)
-    total = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(residual ** 2)) / total if total > 0.0 else 1.0
-    return RateFit(float(slope), r2, oscillatory)
+    slope = np.polyfit(t, np.log(np.abs(v)), 1)[0]
+    return RateFit(float(slope), oscillatory)
 
 
 def verify_bound(curve: Curve, bound: DecayBound, doubled: Curve) -> BoundCheck:
@@ -341,7 +336,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     ok = np.isfinite(series_vals)
     excluded_fraction = 1.0 - float(np.mean(ok))
 
-    volterra = solve_volterra_on_grid(prob, grid, dt)
+    volterra = solve_volterra(prob, grid, dt)
     laplace = invert_S_curve(prob, grid)
 
     # t = 0 is on every grid and exact in the series, so ok is never empty.
@@ -360,8 +355,9 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     long_dt = 0.005
     n_base = int(round(horizon / long_dt))
     span = 2 if regime.decay_applicable else 1
-    long = solve_volterra(
-        prob, VolterraConfig(long_dt, int(round(span * horizon / long_dt))))
+    n_long = int(round(span * horizon / long_dt))
+    _check_steps(n_long)  # before its grid is built
+    long = solve_volterra(prob, np.arange(n_long + 1) * long_dt)
     base = Curve(long.times[:n_base + 1], long.values[:n_base + 1],
                  CurveMethod.VOLTERRA, prob)
     fit = fit_decay_rate(base)

@@ -16,7 +16,12 @@ weight, so the per-step solve is one scalar division.  The kernel is only
 Hoelder-mu at t = 0, which limits the observed order to between 1+mu and 2;
 dt <= 0.005 is the budget used for golden comparisons.
 
-One engine serves every caller.  The kernel does not depend on rho, so its
+Two calls return the solution at the nodes of a uniform grid from 0:
+:func:`solve_volterra` for one rho and :func:`solve_volterra_batch` for a
+row of rhos.  Both step on the grid itself or, given ``dt``, on its cells
+split into the fewest equal steps no longer than ``dt`` (``_stepping``).
+
+One engine serves both.  The kernel does not depend on rho, so its
 table a(i dt), i = 0..n, is built once per solve in one numpy pass
 (:func:`kernel_a` on the array of nodes) and shared by every rho of a batch.
 The march then takes one of two loops, chosen by the batch size:
@@ -52,26 +57,24 @@ most 10,001 steps takes one dot per step and keeps its bits, and a longer
 one does not depend on the thread count or on its batch.
 A matrix-vector product (``@`` on the batch), ``sum``, ``math.fsum``, a
 reciprocal of the denominator and fused forms regroup or reround the
-arithmetic and are not used.  The march is causal, so the first n + 1 values
-of a 2n-step solve are the n-step solve bit for bit.  A solution that
-overflows raises :class:`~memdiff.errors.AccuracyError` instead of returning
-``inf``.
+arithmetic and are not used.  The march is causal, so at one step the
+first n + 1 values of a 2n-step solve are the n-step solve bit for bit.  A
+solution that overflows raises :class:`~memdiff.errors.AccuracyError`
+instead of returning ``inf``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, StepSizeError
 from .resolvent import Curve, CurveMethod, _validate_grid
-from .special import _is_int, reg_lower_inc_gamma
+from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
-__all__ = ["VolterraConfig", "kernel_a", "solve_volterra",
-           "solve_volterra_batch", "solve_volterra_on_grid", "volterra_grid"]
+__all__ = ["kernel_a", "solve_volterra", "solve_volterra_batch"]
 
 
 # Most steps one solve may take: the history march costs O(n_steps^2)
@@ -82,27 +85,6 @@ _MAX_STEPS = 10**6
 _MAX_TABLE = 16 * (_MAX_STEPS + 1)
 # Longest dot one BLAS call takes (see the module docstring).
 _DOT_CHUNK = 10_000
-
-
-@dataclass(frozen=True)
-class VolterraConfig:
-    """Uniform-grid stepping: horizon = dt * n_steps.
-
-    ``richardson=True`` also solves at dt/2 and attaches the max-norm
-    difference on the coarse grid as an error estimate.
-    """
-
-    dt: float
-    n_steps: int
-    richardson: bool = False
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.dt <= 0.1):
-            raise DomainError(
-                f"dt must lie in (0, 0.1] for the accuracy claims, got {self.dt}")
-        if not (_is_int(self.n_steps) and 1 <= self.n_steps <= _MAX_STEPS):
-            raise DomainError(
-                f"n_steps must lie in [1, {_MAX_STEPS}], got {self.n_steps}")
 
 
 def kernel_a(params: KernelParams, t):
@@ -221,40 +203,20 @@ def _chunked_dot(a, u):
     return total
 
 
-def solve_volterra(prob: ScalarProblem, cfg: VolterraConfig) -> Curve:
-    """March the product-trapezoidal scheme across the uniform grid."""
-    u = _solve_grid(prob.params, cfg.dt, cfg.n_steps, [prob.rho])[0]
-    estimate = None
-    if cfg.richardson:
-        fine = _solve_grid(prob.params, 0.5 * cfg.dt, 2 * cfg.n_steps,
-                           [prob.rho])[0]
-        estimate = float(np.max(np.abs(fine[::2] - u)))
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    return Curve(times, u, CurveMethod.VOLTERRA, prob, error_estimate=estimate)
+def _check_steps(n_steps: int) -> None:
+    """Refuse more than ``_MAX_STEPS`` steps before anything that long is
+    built."""
+    if n_steps > _MAX_STEPS:
+        raise DomainError(
+            f"n_steps must lie in [1, {_MAX_STEPS}], got {n_steps}")
 
 
-def solve_volterra_batch(params: KernelParams, rhos,
-                         cfg: VolterraConfig) -> np.ndarray:
-    """Rows u_r on the grid of ``cfg`` for every rho_r of ``rhos``, shape
-    (len(rhos), n_steps + 1), from one kernel table.
-
-    Row r equals ``solve_volterra(ScalarProblem(params, rhos[r]), cfg)``
-    bit for bit; ``cfg.richardson`` is not applied.  A solution that is not
-    finite raises :class:`~memdiff.errors.AccuracyError` for the row that
-    fails at the earliest step (the lowest such row on a tie), and its
-    ``row`` attribute is that row's index.
-    """
-    return _solve_grid(params, cfg.dt, cfg.n_steps, rhos)
-
-
-def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
-    """Stepping whose nodes include every node of ``grid``.
-
-    ``grid`` must be uniform and start at 0; uniform means equal cells up to
-    the rounding of the nodes themselves.  Returns ``(cfg, per_cell)`` with
-    grid node j at step j * per_cell.  Without ``dt`` the grid is itself the
-    stepping grid; with it, each cell is split into the fewest equal steps
-    no longer than ``dt`` (to 1e-9 relative), which must be finite and > 0.
+def _stepping(grid, dt: float | None) -> tuple[np.ndarray, float, int, int]:
+    """``(grid, step, n_steps, per_cell)`` for a uniform ``grid`` from 0
+    (equal cells up to the rounding of the nodes), grid node j at step
+    j * per_cell.  Without ``dt`` the grid is its own stepping; with it, each
+    cell is split into the fewest equal steps no longer than ``dt`` (to 1e-9
+    relative), which must be finite and > 0.  The step must lie in (0, 0.1].
     """
     grid = _validate_grid(grid)
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
@@ -270,14 +232,55 @@ def volterra_grid(grid, dt: float | None = None) -> tuple[VolterraConfig, int]:
         raise DomainError(f"dt = {dt} needs more than {_MAX_STEPS} steps")
     per_cell = 1 if dt is None else max(1, math.ceil(spacing / dt - 1e-9))
     n_steps = per_cell * (grid.size - 1)
+    _check_steps(n_steps)
     # With one step per cell the step is the spacing itself; on a
     # numpy.linspace grid that equals grid[-1] / n_steps bit for bit.
     step = spacing if per_cell == 1 else float(grid[-1]) / n_steps
-    return VolterraConfig(step, n_steps), per_cell
+    if not (0.0 < step <= 0.1):
+        raise DomainError(
+            f"dt must lie in (0, 0.1] for the accuracy claims, got {step}")
+    return grid, step, n_steps, per_cell
 
 
-def solve_volterra_on_grid(prob: ScalarProblem, grid, dt: float) -> Curve:
-    """S at the nodes of a uniform ``grid`` from 0, stepping at most ``dt``."""
-    cfg, per_cell = volterra_grid(grid, dt)
-    curve = solve_volterra(prob, cfg)
-    return Curve(grid, curve.values[::per_cell], CurveMethod.VOLTERRA, prob)
+def solve_volterra(prob: ScalarProblem, grid, dt: float | None = None,
+                   richardson: bool = False) -> Curve:
+    """S at the nodes of a uniform ``grid`` from 0, by the
+    product-trapezoidal march on the grid itself or, with ``dt``, on the grid
+    with each cell split into the fewest equal steps no longer than ``dt``.
+
+    ``richardson=True`` also solves at half the step and attaches the
+    max-norm difference over the stepping nodes as an error estimate; it is
+    refused when that solve would pass the step bound.
+    """
+    grid, step, n, per_cell = _stepping(grid, dt)
+    if richardson and 2 * n > _MAX_STEPS:
+        raise DomainError(
+            f"richardson needs {2 * n} steps at dt/2, more than {_MAX_STEPS}")
+    u = _solve_grid(prob.params, step, n, [prob.rho])[0]
+    estimate = None
+    if richardson:
+        fine = _solve_grid(prob.params, 0.5 * step, 2 * n, [prob.rho])[0]
+        estimate = float(np.max(np.abs(fine[::2] - u)))
+    return Curve(grid, u[::per_cell], CurveMethod.VOLTERRA, prob,
+                 error_estimate=estimate)
+
+
+def solve_volterra_batch(params: KernelParams, rhos, grid,
+                         dt: float | None = None) -> np.ndarray:
+    """Rows u_r at the nodes of ``grid`` for every rho_r of the 1-D finite
+    ``rhos``, from one kernel table; row r is ``solve_volterra(
+    ScalarProblem(params, rhos[r]), grid, dt).values`` bit for bit.
+
+    A solution that is not finite raises
+    :class:`~memdiff.errors.AccuracyError` for the row that fails at the
+    earliest step (the lowest such row on a tie), and its ``row`` attribute
+    is that row's index.
+    """
+    try:
+        rhos = np.asarray(rhos, dtype=float)
+    except (TypeError, ValueError):
+        rhos = None
+    if rhos is None or rhos.ndim != 1 or not np.isfinite(rhos).all():
+        raise DomainError("rhos must be a 1-D sequence of finite floats")
+    _, step, n, per_cell = _stepping(grid, dt)
+    return _solve_grid(params, step, n, rhos)[:, ::per_cell]

@@ -16,11 +16,10 @@ import pytest
 from memdiff import (ConvergenceError, Curve, DecayBound, InversionConfig,
                      invert_S_curve,
                      KernelParams, ScalarProblem, SpectralModel,
-                     VolterraConfig, fit_decay_rate, forward_transform,
+                     fit_decay_rate, forward_transform,
                      invert_S, laplace_S_hat, lemma_property_suite,
                      mode_curve, mu1_closed_form, operator_norm_curve,
                      series_curve, solve_volterra,
-                     solve_volterra_on_grid,
                      theoretical_bound, verify_bound, field)
 from memdiff.resolvent import _series_grid
 from memdiff.special import DEFAULT_SERIES_CONTROL
@@ -61,7 +60,7 @@ def test_criterion_1_three_way_agreement():
         assert excluded < 0.20
         worst_excluded = max(worst_excluded, excluded)
 
-        volterra_vals = solve_volterra_on_grid(prob, grid, 0.0025).values
+        volterra_vals = solve_volterra(prob, grid, 0.0025).values
         laplace_vals = np.array(
             [1.0] + [invert_S(prob, float(t)) for t in grid[1:]])
 
@@ -111,7 +110,7 @@ def test_criterion_2_mu1_closed_forms():
     prob = MU1_NAMED[0]
     exact = 2.0 * math.exp(-2.0)
     assert abs(mu1_closed_form(prob, 1.0) - exact) <= 1e-9
-    volterra = solve_volterra(prob, VolterraConfig(0.005, 200))
+    volterra = solve_volterra(prob, [0.0, 1.0], 0.005)
     assert abs(volterra.values[-1] - exact) <= 5e-4
     report("criterion 2",
            f"20 random problems, {checked} points at 1e-8, coverage "
@@ -148,8 +147,8 @@ def test_criterion_4_positive_alpha_decay_bound():
     prob = problem(1.0, 1.0, 0.5, -2.0)
     bound = theoretical_bound(prob.params, omega=prob.rho)
     assert bound.rate == pytest.approx(-1.0)
-    base = solve_volterra(prob, VolterraConfig(0.005, 4000))
-    doubled = solve_volterra(prob, VolterraConfig(0.005, 8000))
+    base = solve_volterra(prob, np.arange(4001) * 0.005)
+    doubled = solve_volterra(prob, np.arange(8001) * 0.005)
     check = verify_bound(base, bound, doubled=doubled)
     assert check.holds
     assert np.isfinite(check.c_min) and check.c_min < 100.0
@@ -170,8 +169,8 @@ def test_criterion_5_negative_alpha_decay_bound():
     assert bound.rate == pytest.approx(-0.6580048106646606, rel=1e-12)
     assert bound.poly_coeff == pytest.approx(0.2)
     assert bound.uniformly_stable  # beta^1.5 = 1 > 0.2
-    base = solve_volterra(prob, VolterraConfig(0.005, 4000))
-    doubled = solve_volterra(prob, VolterraConfig(0.005, 8000))
+    base = solve_volterra(prob, np.arange(4001) * 0.005)
+    doubled = solve_volterra(prob, np.arange(8001) * 0.005)
     check = verify_bound(base, bound, doubled=doubled)
     assert check.holds
     assert check.c_min < 100.0
@@ -193,7 +192,7 @@ def test_criterion_6_transform_round_trip():
     for prob in probs:
         # dt at half the cross-validation budget: the mu = 0.3 solver error
         # otherwise sits right at the 1e-4 round-trip tolerance
-        curve = solve_volterra(prob, VolterraConfig(0.00125, 8000))
+        curve = solve_volterra(prob, np.arange(8001) * 0.00125)
         tail_rate = fit_decay_rate(curve).rate
         for lam in (1.0, 2.0, 5.0):
             got = forward_transform(curve, lam, tail_rate)
@@ -235,8 +234,7 @@ def test_criterion_7_spectral_consistency():
     grid = np.arange(0.0, 4001.0) * 0.005  # [0, 20]
     for n in (1, 4, 16):
         via_mode = mode_curve(model, params, n, grid, "volterra")
-        direct = solve_volterra(ScalarProblem(params, -float(n * n)),
-                                VolterraConfig(0.005, 4000))
+        direct = solve_volterra(ScalarProblem(params, -float(n * n)), grid)
         assert np.array_equal(via_mode.values, direct.values)
     series_grid = np.linspace(0.0, 1.0, 9)
     for n in (1, 2, 3):
@@ -271,8 +269,8 @@ def test_criterion_8_self_convergence():
     for prob in GOLDEN_GRID + MU1_NAMED:
         estimates = []
         for dt in (0.02, 0.01, 0.005):
-            cfg = VolterraConfig(dt, int(round(2.0 / dt)), richardson=True)
-            estimates.append(solve_volterra(prob, cfg).error_estimate)
+            estimates.append(solve_volterra(prob, [0.0, 2.0], dt,
+                                            richardson=True).error_estimate)
         assert estimates[0] > estimates[1] * 0.9
         assert estimates[1] > estimates[2] * 0.9
         assert estimates[2] < estimates[0]

@@ -6,15 +6,16 @@ number."""
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memdiff import (Curve, DomainError, KernelParams, MLParams, ModeError,
-                     ScalarProblem, SeriesControl, SpectralModel,
-                     VolterraConfig, field, invert_transform,
-                     lemma_property_suite, mode_curve, theoretical_bound,
-                     verify_bound, verify_problem)
+                     ScalarProblem, SeriesControl, SpectralModel, field,
+                     invert_transform, lemma_property_suite, mode_curve,
+                     solve_volterra_batch, theoretical_bound, verify_bound,
+                     verify_problem)
 from memdiff import stability
 from memdiff.cli import main
 from conftest import HUGE_K
@@ -39,8 +40,6 @@ def zero_bound():
     lambda: MLParams(0.5, 2.0),
     lambda: MLParams(0.5, True),
     lambda: SeriesControl(max_terms=100.5),
-    lambda: VolterraConfig(0.01, 2.5),
-    lambda: VolterraConfig(0.01, True),
     lambda: SpectralModel(1.0, 2.5),
     lambda: SpectralModel(1.0, True),
     lambda: lemma_property_suite(PARAMS, seed=1.5),
@@ -58,11 +57,15 @@ def zero_bound():
                              contour_scale=np.inf),
     lambda: verify_problem(ScalarProblem(PARAMS, -1.0), np.zeros((2, 2)),
                            0.0025, 1e-4, None, 0),
-], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-steps-float",
-        "n-steps-bool", "n-modes-float", "n-modes-bool", "seed-float",
-        "seed-bool", "curve-nan", "curve-inf", "bound-all-zero", "field-x-nan",
-        "field-coeff-nan", "field-coeff-inf", "contour-scale-nan",
-        "contour-scale-inf", "verify-grid-2d"])
+    # A batch's rhos are outside input like a ScalarProblem's rho.
+    lambda: solve_volterra_batch(PARAMS, [[-1.0, -2.0]], T),
+    lambda: solve_volterra_batch(PARAMS, "ab", T),
+    lambda: solve_volterra_batch(PARAMS, [np.nan], T),
+], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-modes-float",
+        "n-modes-bool", "seed-float", "seed-bool", "curve-nan", "curve-inf",
+        "bound-all-zero", "field-x-nan", "field-coeff-nan", "field-coeff-inf",
+        "contour-scale-nan", "contour-scale-inf", "verify-grid-2d",
+        "batch-rhos-2d", "batch-rhos-str", "batch-rhos-nan"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -89,6 +92,21 @@ def test_verify_problem_takes_a_list_grid():
     assert (verify_problem(prob, [0.0, 0.5, 1.0], 0.0025, 1e-4, None, 0)
             == verify_problem(prob, np.linspace(0.0, 1.0, 3), 0.0025, 1e-4,
                               None, 0))
+
+
+def test_verify_problem_refuses_a_long_march_before_its_grid_is_built():
+    # The grid march takes 26,000 steps of 0.1.  The doubled-horizon march
+    # would take 1,040,000 steps of 0.005, past the step bound; its 8.3 MB
+    # grid is never built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="got 1040000$"):
+            verify_problem(ScalarProblem(PARAMS, -1.0), [0.0, 2600.0], 0.1,
+                           1e-4, None, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_mode_curve_passes_a_kernel_domain_error_through():

@@ -60,8 +60,8 @@ def _unused_imports(module) -> list[str]:
 # Names a module imports only for the benchmark's tracer to hook there.  Once
 # the tracer hooks the library modules instead, every set here is empty.
 _TRACER_ONLY = {
-    "memdiff.cli": {"series_S", "solve_volterra", "fit_decay_rate",
-                    "verify_bound", "lemma_property_suite"},
+    "memdiff.cli": {"series_S", "fit_decay_rate", "verify_bound",
+                    "lemma_property_suite"},
     "memdiff.resolvent": {"_prabhakar_scaled"},
 }
 
@@ -106,9 +106,9 @@ _PUBLIC_OPTIONS = [
     "invert_transform.contour_scale", "lemma_property_suite.seed",
     "mode_curve.method", "operator_norm_curve.method",
     "operator_norm_curve.dt", "prabhakar_ml.ctl", "series_curve.ctl",
-    "volterra_grid.dt", "InversionConfig.n_nodes", "SeriesControl.rel_tol",
-    "SeriesControl.max_terms", "VolterraConfig.dt", "VolterraConfig.n_steps",
-    "VolterraConfig.richardson",
+    "solve_volterra.dt", "solve_volterra.richardson", "solve_volterra_batch.dt",
+    "InversionConfig.n_nodes", "SeriesControl.rel_tol",
+    "SeriesControl.max_terms",
 ]
 
 
@@ -120,8 +120,7 @@ def test_public_option_set_is_pinned():
             options += [f"{name}.{p.name}" for p in
                         inspect.signature(obj).parameters.values()
                         if p.default is not inspect.Parameter.empty]
-    for config in (memdiff.InversionConfig, memdiff.SeriesControl,
-                   memdiff.VolterraConfig):
+    for config in (memdiff.InversionConfig, memdiff.SeriesControl):
         options += [f"{config.__name__}.{f.name}"
                     for f in dataclasses.fields(config)]
     assert sorted(options) == sorted(_PUBLIC_OPTIONS)

@@ -65,8 +65,7 @@ def test_quick_start_three_routes_agree(readme_values):
     series, _ = readme_values["series_S(prob, 2.0)"]
     inverted, comment = readme_values["invert_S(prob, 2.0)"]
     volterra, _ = readme_values[
-        "solve_volterra(prob, VolterraConfig(dt=0.0025, n_steps=800))"
-        ".values[-1]"]
+        "solve_volterra(prob, [0.0, 2.0], dt=0.0025).values[-1]"]
     assert comment == "three routes, one answer"
     # within the tolerance of the verify example
     assert max(abs(inverted - series), abs(volterra - series)) < 1e-4

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
-                     DomainError, VolterraConfig, invert_transform,
+                     DomainError, invert_transform,
                      laplace_S_hat, mu1_closed_form, series_S, series_curve,
                      solve_volterra)
 from memdiff import resolvent
@@ -46,7 +46,7 @@ class TestSeriesS:
 
     def test_matches_volterra_for_fractional_mu(self):
         prob = problem(1.0, 1.0, 0.5, -1.0)
-        curve = solve_volterra(prob, VolterraConfig(0.0025, 800))
+        curve = solve_volterra(prob, np.arange(801) * 0.0025)
         i = 400  # t = 1
         assert series_S(prob, 1.0) == pytest.approx(curve.values[i], abs=2e-5)
 
@@ -236,7 +236,7 @@ class TestMu1ClosedForm:
             -0.02700307374133957035683498, abs=1e-14)
 
     def test_complex_pair_volterra_arbitration(self, complex_pair_problem):
-        curve = solve_volterra(complex_pair_problem, VolterraConfig(0.0025, 2000))
+        curve = solve_volterra(complex_pair_problem, np.arange(2001) * 0.0025)
         sampled = [mu1_closed_form(complex_pair_problem, float(t))
                    for t in curve.times]
         assert np.max(np.abs(curve.values - np.array(sampled))) < 5e-5

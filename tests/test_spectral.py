@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memdiff import (DomainError, KernelParams, ModeError, ScalarProblem,
-                     SpectralModel, TruncationError, VolterraConfig,
+                     SpectralModel, TruncationError,
                      eigen_pairs, field, mode_curve, operator_norm_curve,
                      series_S, series_curve, solve_volterra)
 
@@ -72,8 +72,7 @@ class TestModeCurve:
         params = KernelParams(1.0, 1.0, 0.5)
         grid = np.arange(0.0, 201.0) * 0.01
         via_mode = mode_curve(model, params, 1, grid, "volterra")
-        direct = solve_volterra(ScalarProblem(params, -1.0),
-                                VolterraConfig(0.01, 200))
+        direct = solve_volterra(ScalarProblem(params, -1.0), grid)
         assert np.array_equal(via_mode.values, direct.values)
 
     def test_initial_value(self):
@@ -164,7 +163,7 @@ class TestField:
         expected = np.zeros_like(x)
         for n, c in ((1, 1.0), (2, 0.5)):
             curve = solve_volterra(ScalarProblem(params, -float(n * n)),
-                                   VolterraConfig(0.0025, 400))
+                                   [0.0, 1.0], 0.0025)
             phi = eigen_pairs(model)[n - 1][1]
             expected += curve.values[-1] * c * phi(x)
         assert np.max(np.abs(got - expected)) < 1e-4
@@ -208,7 +207,7 @@ class TestOperatorNormCurve:
         curve = operator_norm_curve(model, params, grid, method="volterra")
         stacked = np.vstack([
             np.abs(solve_volterra(ScalarProblem(params, -float(n * n)),
-                                  VolterraConfig(0.01, 500)).values)
+                                  grid).values)
             for n in range(1, 9)])
         assert np.array_equal(curve.values, stacked.max(axis=0))
 

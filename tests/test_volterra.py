@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from memdiff import (AccuracyError, DomainError, KernelParams, StepSizeError,
-                     VolterraConfig, kernel_a, solve_volterra)
-from memdiff import (ScalarProblem, solve_volterra_batch,
-                     solve_volterra_on_grid, volterra_grid)
+from memdiff import (AccuracyError, DomainError, KernelParams, ScalarProblem,
+                     StepSizeError, kernel_a, solve_volterra,
+                     solve_volterra_batch, volterra)
 from conftest import problem
+
+
+def steps(n, dt):
+    """The grid of n steps of dt from 0, which is its own stepping grid."""
+    return np.arange(n + 1) * dt
 
 
 class TestKernelA:
@@ -41,40 +45,80 @@ class TestKernelA:
 
 
 class TestConfig:
-    def test_dt_budget_enforced(self):
-        with pytest.raises(DomainError):
-            VolterraConfig(0.2, 10)
-        with pytest.raises(DomainError):
-            VolterraConfig(0.0, 10)
-        with pytest.raises(DomainError):
-            VolterraConfig(0.01, 0)
-        with pytest.raises(DomainError):
-            VolterraConfig(0.01, 10**6 + 1)
+    def test_dt_budget_enforced(self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("a march started")
+        monkeypatch.setattr(volterra, "_solve_grid", spy)
+        prob = problem(1.0, 1.0, 0.5, -1.0)
+        for grid, dt, message in [
+                (steps(10, 0.2), None, r"dt must lie in \(0, 0\.1\]"),
+                ([0.0, 1.0], 0.0, "dt must be finite and > 0"),
+                ([0.0], None, "uniform grid"),
+                ([0.0, 5000.01], 0.005, "needs more than 1000000 steps"),
+                (steps(10**6 + 1, 1e-7), None,
+                 r"n_steps must lie in \[1, 1000000\]"),
+                # Each input below fails two checks and gets the earlier:
+                # grid, dt, uniformity, the step bound, then the step.
+                ([0.0, math.nan], -1.0, "time grid must be finite"),
+                ([0.0, 0.1, 0.5], -1.0, "dt must be finite"),
+                ([0.0, 0.1, 0.5], 0.2, "uniform grid"),
+                (steps(10**6 + 1, 0.2), None, "n_steps must lie")]:
+            with pytest.raises(DomainError, match=message):
+                solve_volterra(prob, grid, dt)
+            with pytest.raises(DomainError, match=message):
+                solve_volterra_batch(prob.params, [-1.0, -2.0], grid, dt)
+
+    @pytest.mark.parametrize("n_steps, marches", [(600_000, False),
+                                                  (500_000, True)])
+    def test_richardson_obeys_the_step_bound(self, n_steps, marches,
+                                             monkeypatch):
+        # The dt/2 solve takes 2 n_steps steps; past the bound no march starts.
+        started = []
+
+        def spy(*args):
+            started.append(args[2])
+            raise RuntimeError("stop before the march")
+        monkeypatch.setattr(volterra, "_solve_grid", spy)
+        grid = [0.0, n_steps * 0.005]
+        if marches:
+            with pytest.raises(RuntimeError):
+                solve_volterra(problem(1.0, 1.0, 0.5, -1.0), grid, 0.005,
+                               richardson=True)
+            assert started == [n_steps]
+        else:
+            with pytest.raises(DomainError,
+                               match=f"richardson needs {2 * n_steps} steps"):
+                solve_volterra(problem(1.0, 1.0, 0.5, -1.0), grid, 0.005,
+                               richardson=True)
+            assert started == []
 
 
 class TestSolveVolterra:
     def test_initial_value_exact(self):
-        curve = solve_volterra(problem(1.0, 1.0, 0.5, -1.0),
-                               VolterraConfig(0.01, 50))
+        curve = solve_volterra(problem(1.0, 1.0, 0.5, -1.0), steps(50, 0.01))
         assert curve.values[0] == 1.0
         assert curve.method == "volterra"
 
     def test_degenerate_exponential_baseline(self):
-        curve = solve_volterra(problem(0.0, 0.0, 0.5, -1.0),
-                               VolterraConfig(0.01, 100))
+        curve = solve_volterra(problem(0.0, 0.0, 0.5, -1.0), [0.0, 1.0], 0.01)
         assert abs(curve.values[-1] - math.exp(-1.0)) <= 1e-4
 
     def test_double_root_golden(self, double_root_problem):
-        curve = solve_volterra(double_root_problem, VolterraConfig(0.005, 200))
+        curve = solve_volterra(double_root_problem, [0.0, 1.0], 0.005)
         assert abs(curve.values[-1] - 2.0 * math.exp(-2.0)) <= 5e-4
 
     def test_richardson_estimate_attached_and_tight(self):
         prob = problem(1.0, 1.0, 0.5, -1.0)
-        curve = solve_volterra(prob, VolterraConfig(0.01, 100, richardson=True))
+        curve = solve_volterra(prob, steps(100, 0.01), richardson=True)
         assert curve.error_estimate is not None
-        fine = solve_volterra(prob, VolterraConfig(0.005, 200))
+        fine = solve_volterra(prob, steps(200, 0.005))
         true_gap = np.max(np.abs(fine.values[::2] - curve.values))
         assert curve.error_estimate == pytest.approx(true_gap, rel=1e-12)
+        # On a coarser grid the estimate is still over every step.
+        coarse = solve_volterra(prob, np.linspace(0.0, 1.0, 5), 0.01,
+                                richardson=True)
+        assert coarse.error_estimate == curve.error_estimate
+        assert np.array_equal(coarse.values, curve.values[::25])
 
     @pytest.mark.parametrize("prob,mu", [
         (problem(1.0, 1.0, 0.5, -1.0), 0.5),
@@ -82,10 +126,8 @@ class TestSolveVolterra:
         (problem(0.5, 1.0, 0.8, -2.0), 0.8),
     ])
     def test_halving_shrinks_estimate_at_kernel_order(self, prob, mu):
-        dts = (0.02, 0.01, 0.005)
-        n = [int(round(2.0 / dt)) for dt in dts]
-        ests = [solve_volterra(prob, VolterraConfig(dt, k, richardson=True)
-                               ).error_estimate for dt, k in zip(dts, n)]
+        ests = [solve_volterra(prob, [0.0, 2.0], dt, richardson=True
+                               ).error_estimate for dt in (0.02, 0.01, 0.005)]
         assert ests[0] > ests[1] > ests[2]
         for a, b in zip(ests, ests[1:]):
             assert a / b >= 2.0 ** (1.0 + 0.8 * mu)
@@ -93,24 +135,23 @@ class TestSolveVolterra:
     def test_degenerate_step_raises(self):
         # 1 - rho dt / 2 = 0 at rho = 2/dt
         with pytest.raises(StepSizeError):
-            solve_volterra(problem(1.0, 0.0, 0.5, 20.0), VolterraConfig(0.1, 10))
+            solve_volterra(problem(1.0, 0.0, 0.5, 20.0), steps(10, 0.1))
 
     def test_stiff_mode_remains_stable(self):
         curve = solve_volterra(problem(1.0, 0.5, 0.5, -256.0),
-                               VolterraConfig(0.005, 400))
+                               steps(400, 0.005))
         assert np.all(np.abs(curve.values[1:]) < 0.2)
         assert np.all(np.isfinite(curve.values))
 
     def test_non_finite_solution_raises(self):
         # u grows like e^{c t} and overflows near t = 12.5
         with pytest.raises(AccuracyError, match=r"rho=50\.0 from t=12\.4"):
-            solve_volterra(problem(1.0, 0.0, 0.5, 50.0),
-                           VolterraConfig(0.0025, 8000))
+            solve_volterra(problem(1.0, 0.0, 0.5, 50.0), steps(8000, 0.0025))
 
     def test_non_finite_batch_row_raises(self):
         with pytest.raises(AccuracyError, match=r"rho=50\.0 from t=12\.4"):
             solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 50.0],
-                                 VolterraConfig(0.0025, 8000))
+                                 steps(8000, 0.0025))
 
     def test_earliest_failing_step_names_the_row(self):
         # rho = -9 overflows from t = 110.2, rho = -4 only from t = 154.1;
@@ -118,7 +159,7 @@ class TestSolveVolterra:
         with pytest.raises(AccuracyError,
                            match=r"rho=-9\.0 from t=110\.2 on") as info:
             solve_volterra_batch(KernelParams(-5.0, 0.0, 0.5),
-                                 [-4.0, -9.0, -9.0], VolterraConfig(0.1, 2000))
+                                 [-4.0, -9.0, -9.0], steps(2000, 0.1))
         assert info.value.row == 1
 
 
@@ -151,7 +192,7 @@ class TestEquationConsistency:
     ])
     def test_derivative_matches_memory_form(self, prob):
         dt = 0.0025
-        curve = solve_volterra(prob, VolterraConfig(dt, 800))
+        curve = solve_volterra(prob, steps(800, dt))
         t, u = curve.times, curve.values
         params = prob.params
         residuals = []
@@ -300,8 +341,7 @@ class TestBatchedMarch:
                                             (KernelParams(0.5, 0.0, 0.05), -1.0),
                                             (KernelParams(1.0, 0.5, 0.5), -256.0)])
     def test_march_keeps_the_one_mode_arithmetic(self, params, rho):
-        curve = solve_volterra(ScalarProblem(params, rho),
-                               VolterraConfig(0.005, 8000))
+        curve = solve_volterra(ScalarProblem(params, rho), steps(8000, 0.005))
         assert np.array_equal(curve.values,
                               one_mode_march(params, rho, 0.005, 8000))
 
@@ -311,20 +351,24 @@ class TestBatchedMarch:
         # A batch of two or more rows marches in the batched loop, a batch
         # of one in the one-row loop: the two must agree bit for bit.
         rhos = [-float(k * k) for k in range(1, 17)]
-        cfg = VolterraConfig(0.005, 8000)
-        batch = solve_volterra_batch(params, rhos, cfg)
-        assert batch.shape == (16, 8001)
+        grid, dt = np.linspace(0.0, 40.0, 81), 0.005  # 100 steps a cell
+        batch = solve_volterra_batch(params, rhos, grid, dt)
+        assert batch.shape == (16, 81)
         for row, rho in zip(batch, rhos):
-            one = solve_volterra(ScalarProblem(params, rho), cfg)
+            one = solve_volterra(ScalarProblem(params, rho), grid, dt)
             assert np.array_equal(row, one.values)
-        # The Richardson estimate equals the one from two batched solves.
+        # The rows are the stepping rows at the grid nodes, and the
+        # Richardson estimate is the gap of two batched solves over every
+        # step.
         ends = [rhos[0], rhos[-1]]
-        fine = solve_volterra_batch(params, ends, VolterraConfig(0.0025, 16000))
-        for coarse, fine_row, rho in zip(batch[[0, -1]], fine, ends):
-            one = solve_volterra(ScalarProblem(params, rho),
-                                 VolterraConfig(0.005, 8000, richardson=True))
+        coarse = solve_volterra_batch(params, ends, steps(8000, 0.005))
+        assert np.array_equal(batch[[0, -1]], coarse[:, ::100])
+        fine = solve_volterra_batch(params, ends, steps(16000, 0.0025))
+        for coarse_row, fine_row, rho in zip(coarse, fine, ends):
+            one = solve_volterra(ScalarProblem(params, rho), grid, dt,
+                                 richardson=True)
             assert one.error_estimate == float(
-                np.max(np.abs(fine_row[::2] - coarse)))
+                np.max(np.abs(fine_row[::2] - coarse_row)))
 
     @pytest.mark.parametrize("params", [KernelParams(1.0, 0.5, 0.5),
                                         KernelParams(-0.2, 0.0, 0.3)])
@@ -335,11 +379,11 @@ class TestBatchedMarch:
         # The smallest batches that take the batched loop, over marches
         # that are all or mostly its first step.
         rhos = [-float(k * k) for k in range(1, rows + 1)]
-        cfg = VolterraConfig(0.005, n_steps)
-        batch = solve_volterra_batch(params, rhos, cfg)
+        grid = steps(n_steps, 0.005)
+        batch = solve_volterra_batch(params, rhos, grid)
         assert batch.shape == (rows, n_steps + 1)
         for row, rho in zip(batch, rhos):
-            one = solve_volterra(ScalarProblem(params, rho), cfg)
+            one = solve_volterra(ScalarProblem(params, rho), grid)
             assert np.array_equal(row, one.values)
 
     @pytest.mark.parametrize("rows, n_steps", [(17, 10**6), (16001, 999)])
@@ -350,7 +394,7 @@ class TestBatchedMarch:
         with pytest.raises(DomainError,
                            match=f"{rows} rows of {n_steps + 1} nodes exceed"):
             solve_volterra_batch(KernelParams(1.0, 0.5, 0.5), [-1.0] * rows,
-                                 VolterraConfig(0.005, n_steps))
+                                 [0.0, n_steps * 0.005], 0.005)
 
     def test_long_history_sums_are_in_order_chunks(self):
         # 20,050 steps: the last history sums take three chunks.  Both loops
@@ -359,52 +403,52 @@ class TestBatchedMarch:
         params, rhos, dt, n = KernelParams(1.0, 0.5, 0.5), [-1.0, -2.0], \
             0.005, 20_050
         a = kernel_a(params, np.arange(n + 1) * dt)
-        batch = solve_volterra_batch(params, rhos, VolterraConfig(dt, n))
+        batch = solve_volterra_batch(params, rhos, steps(n, dt))
         for row, rho in zip(batch, rhos):
             want = chunked_march(a, rho, dt)
-            one = solve_volterra(ScalarProblem(params, rho),
-                                 VolterraConfig(dt, n))
+            one = solve_volterra(ScalarProblem(params, rho), steps(n, dt))
             assert np.array_equal(one.values, want)
             assert np.array_equal(row, want)
 
     def test_short_solve_is_a_prefix_of_the_long_one(self):
         prob = problem(1.0, 1.0, 0.5, -2.0)
-        short = solve_volterra(prob, VolterraConfig(0.005, 4000))
-        long = solve_volterra(prob, VolterraConfig(0.005, 8000))
-        assert np.array_equal(short.values, long.values[:4001])
-        assert np.array_equal(short.times, long.times[:4001])
+        # Both step at 0.005: 20 / 4000 and 40 / 8000 round alike.
+        short = solve_volterra(prob, np.linspace(0.0, 20.0, 41), 0.005)
+        long = solve_volterra(prob, np.linspace(0.0, 40.0, 81), 0.005)
+        assert np.array_equal(short.values, long.values[:41])
+        assert np.array_equal(short.times, long.times[:41])
 
     def test_degenerate_row_raises(self):
         with pytest.raises(StepSizeError):
             solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 20.0],
-                                 VolterraConfig(0.1, 10))
+                                 steps(10, 0.1))
 
 
 class TestVolterraGrid:
     def test_grid_is_its_own_stepping_grid(self):
         grid = np.arange(0.0, 201.0) * 0.01
-        cfg, per_cell = volterra_grid(grid)
-        assert (cfg.dt, cfg.n_steps, per_cell) == (grid[1], 200, 1)
+        _, step, n_steps, per_cell = volterra._stepping(grid, None)
+        assert (step, n_steps, per_cell) == (grid[1], 200, 1)
 
     def test_cells_split_into_steps_no_longer_than_dt(self):
         grid = np.linspace(0.0, 5.0, 32)
-        cfg, per_cell = volterra_grid(grid, 0.0025)
+        _, step, n_steps, per_cell = volterra._stepping(grid, 0.0025)
         assert per_cell == 65
-        assert cfg.n_steps == 65 * 31
-        assert cfg.dt == 5.0 / cfg.n_steps <= 0.0025
+        assert n_steps == 65 * 31
+        assert step == 5.0 / n_steps <= 0.0025
 
     def test_one_step_per_cell_on_linspace_is_the_end_over_steps(self):
         for tmax, points in ((5.0, 51), (7.3, 1001), (0.3, 11), (20.0, 4001)):
             grid = np.linspace(0.0, tmax, points)
-            cfg, per_cell = volterra_grid(grid, 0.1)
+            _, step, _, per_cell = volterra._stepping(grid, 0.1)
             assert per_cell == 1
-            assert cfg.dt == tmax / (points - 1)
+            assert step == tmax / (points - 1)
 
     def test_long_linspace_grid_is_uniform(self):
         # its cells differ by more than 1e-12 relative through node rounding
         grid = np.linspace(0.0, 5.0, 100001)
-        cfg, per_cell = volterra_grid(grid)
-        assert (cfg.dt, cfg.n_steps, per_cell) == (grid[1], 100000, 1)
+        _, step, n_steps, per_cell = volterra._stepping(grid, None)
+        assert (step, n_steps, per_cell) == (grid[1], 100000, 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5], [0.1, 0.2, 0.3], [0.0],
                                       [0.0, 0.05, 0.1000001],
@@ -413,12 +457,42 @@ class TestVolterraGrid:
                                       [0.0, math.inf]])
     def test_non_uniform_or_shifted_grid_rejected(self, grid):
         with pytest.raises(DomainError):
-            volterra_grid(grid)
+            solve_volterra(problem(1.0, 1.0, 0.5, -1.0), grid)
 
     def test_on_grid_values_are_fine_solve_nodes(self):
         prob = problem(1.0, 1.0, 0.5, -1.0)
         grid = np.linspace(0.0, 1.0, 5)
-        curve = solve_volterra_on_grid(prob, grid, 0.01)
-        fine = solve_volterra(prob, VolterraConfig(0.01, 100))
+        curve = solve_volterra(prob, grid, 0.01)
+        fine = solve_volterra(prob, steps(100, 0.01))
         assert np.array_equal(curve.times, grid)
         assert np.array_equal(curve.values, fine.values[::25])
+
+
+# float.hex values of the solve before it took a grid, at verify's long-march
+# stepping (8,000 steps of 0.005) and on scalar-curve's grid refined to
+# dt = 0.0025: the grid-in call must keep every bit.
+PINNED_LONG_MARCH = {2000: "-0x1.f28beabe15b4bp-20",
+                     4000: "-0x1.6ec941c16fb88p-36",
+                     8000: "-0x1.feb9231cba6a0p-53"}
+PINNED_CURVE_GRID = [
+    ((0.5, 1.0, 0.3), -1.0, ["0x1.a296659b3a682p-1", "0x1.2cf006d10b3ccp-7",
+                             "-0x1.d2935a388cee3p-11"]),
+    ((1.0, 0.5, 0.5), -2.0, ["0x1.4df1c0278f34dp-1", "-0x1.851030c64d8f0p-7",
+                             "-0x1.f0aad4d5cc940p-11"]),
+]
+
+
+class TestBitPins:
+    def test_long_march_stepping(self):
+        curve = solve_volterra(problem(0.5, 1.0, 0.3, -1.0), steps(8000, 0.005))
+        for i, want in PINNED_LONG_MARCH.items():
+            assert curve.times[i] == i * 0.005 == i / 200
+            assert float(curve.values[i]).hex() == want, i
+
+    @pytest.mark.parametrize("params,rho,want", PINNED_CURVE_GRID)
+    def test_scalar_curve_grid(self, params, rho, want):
+        grid = np.linspace(0.0, 5.0, 32)
+        curve = solve_volterra(ScalarProblem(KernelParams(*params), rho),
+                               grid, 0.0025)
+        assert np.array_equal(curve.times, grid)
+        assert [float(curve.values[i]).hex() for i in (1, 16, 31)] == want
