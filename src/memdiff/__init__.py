@@ -30,7 +30,7 @@ from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         theoretical_bound, verify_bound, verify_problem)
 from .symbols import (KernelParams, ScalarProblem, laplace_S_hat,
                       laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
-from .volterra import kernel_a, solve_volterra, solve_volterra_batch
+from .volterra import kernel_a, solve_volterra
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
     "mode_curve", "mu1_closed_form", "operator_norm_curve",
     "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
-    "solve_volterra", "solve_volterra_batch", "symbol_g", "symbol_h",
-    "symbol_h_tilde", "theoretical_bound", "verify_bound", "verify_problem",
+    "solve_volterra", "symbol_g", "symbol_h", "symbol_h_tilde",
+    "theoretical_bound", "verify_bound", "verify_problem",
 ]

@@ -16,15 +16,17 @@ weight, so the per-step solve is one scalar division.  The kernel is only
 Hoelder-mu at t = 0, which limits the observed order to between 1+mu and 2;
 dt <= 0.005 is the budget used for golden comparisons.
 
-Two calls return the solution at the nodes of a uniform grid from 0:
-:func:`solve_volterra` for one rho and :func:`solve_volterra_batch` for a
-row of rhos.  Both step on the grid itself or, given ``dt``, on its cells
-split into the fewest equal steps no longer than ``dt`` (``_stepping``).
+:func:`solve_volterra` returns the solution at the nodes of a uniform grid
+from 0.  It steps on the grid itself or, given ``dt``, on its cells split
+into the fewest equal steps no longer than ``dt`` (``_stepping``, which
+:func:`~memdiff.spectral.operator_norm_curve` also uses for its batch of
+modes).
 
-One engine serves both.  The kernel does not depend on rho, so its
-table a(i dt), i = 0..n, is built once per solve in one numpy pass
-(:func:`kernel_a` on the array of nodes) and shared by every rho of a batch.
-The march then takes one of two loops, chosen by the batch size:
+One engine, ``_solve_grid``, marches a batch of rhos on one stepping.  The
+kernel does not depend on rho, so its table a(i dt), i = 0..n, is built
+once per solve in one numpy pass (:func:`kernel_a` on the array of nodes)
+and shared by every rho of a batch.  The march then takes one of two
+loops, chosen by the batch size:
 
 - two or more rows advance together, and the history sums of all rows are
   one ``np.vecdot`` per step, so the call overhead is shared by the rows;
@@ -74,7 +76,7 @@ from .resolvent import Curve, CurveMethod, _validate_grid
 from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
-__all__ = ["kernel_a", "solve_volterra", "solve_volterra_batch"]
+__all__ = ["kernel_a", "solve_volterra"]
 
 
 # Most steps one solve may take: the history march costs O(n_steps^2)
@@ -133,7 +135,9 @@ def _check_batch(rows: int, n: int) -> None:
 
 def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     """Rows u_r(i dt), i = 0..n, for every rho_r of ``rhos``: shape
-    (len(rhos), n + 1)."""
+    (len(rhos), n + 1).  A row that is not finite raises
+    :class:`AccuracyError` for the row that fails at the earliest step (the
+    lowest such row on a tie), with that row's index as its ``row``."""
     rhos = np.asarray(rhos, dtype=float)
     _check_batch(rhos.size, n)
     denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
@@ -264,23 +268,3 @@ def solve_volterra(prob: ScalarProblem, grid, dt: float | None = None,
     return Curve(grid, u[::per_cell], CurveMethod.VOLTERRA, prob,
                  error_estimate=estimate)
 
-
-def solve_volterra_batch(params: KernelParams, rhos, grid,
-                         dt: float | None = None) -> np.ndarray:
-    """Rows u_r at the nodes of ``grid`` for every rho_r of the 1-D finite
-    ``rhos``, from one kernel table; row r is ``solve_volterra(
-    ScalarProblem(params, rhos[r]), grid, dt).values`` bit for bit.
-
-    A solution that is not finite raises
-    :class:`~memdiff.errors.AccuracyError` for the row that fails at the
-    earliest step (the lowest such row on a tie), and its ``row`` attribute
-    is that row's index.
-    """
-    try:
-        rhos = np.asarray(rhos, dtype=float)
-    except (TypeError, ValueError):
-        rhos = None
-    if rhos is None or rhos.ndim != 1 or not np.isfinite(rhos).all():
-        raise DomainError("rhos must be a 1-D sequence of finite floats")
-    _, step, n, per_cell = _stepping(grid, dt)
-    return _solve_grid(params, step, n, rhos)[:, ::per_cell]

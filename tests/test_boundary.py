@@ -14,8 +14,7 @@ import pytest
 from memdiff import (Curve, DomainError, KernelParams, MLParams, ModeError,
                      ScalarProblem, SeriesControl, SpectralModel, field,
                      invert_transform, lemma_property_suite, mode_curve,
-                     solve_volterra_batch, theoretical_bound, verify_bound,
-                     verify_problem)
+                     theoretical_bound, verify_bound, verify_problem)
 from memdiff import stability
 from memdiff.cli import main
 from conftest import HUGE_K
@@ -57,15 +56,10 @@ def zero_bound():
                              contour_scale=np.inf),
     lambda: verify_problem(ScalarProblem(PARAMS, -1.0), np.zeros((2, 2)),
                            0.0025, 1e-4, None, 0),
-    # A batch's rhos are outside input like a ScalarProblem's rho.
-    lambda: solve_volterra_batch(PARAMS, [[-1.0, -2.0]], T),
-    lambda: solve_volterra_batch(PARAMS, "ab", T),
-    lambda: solve_volterra_batch(PARAMS, [np.nan], T),
 ], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-modes-float",
         "n-modes-bool", "seed-float", "seed-bool", "curve-nan", "curve-inf",
         "bound-all-zero", "field-x-nan", "field-coeff-nan", "field-coeff-inf",
-        "contour-scale-nan", "contour-scale-inf", "verify-grid-2d",
-        "batch-rhos-2d", "batch-rhos-str", "batch-rhos-nan"])
+        "contour-scale-nan", "contour-scale-inf", "verify-grid-2d"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -106,7 +106,7 @@ _PUBLIC_OPTIONS = [
     "invert_transform.contour_scale", "lemma_property_suite.seed",
     "mode_curve.method", "operator_norm_curve.method",
     "operator_norm_curve.dt", "prabhakar_ml.ctl", "series_curve.ctl",
-    "solve_volterra.dt", "solve_volterra.richardson", "solve_volterra_batch.dt",
+    "solve_volterra.dt", "solve_volterra.richardson",
     "InversionConfig.n_nodes", "SeriesControl.rel_tol",
     "SeriesControl.max_terms",
 ]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from memdiff import (AccuracyError, DomainError, KernelParams, ScalarProblem,
-                     StepSizeError, kernel_a, solve_volterra,
-                     solve_volterra_batch, volterra)
+                     SpectralModel, StepSizeError, kernel_a,
+                     operator_norm_curve, solve_volterra, volterra)
 from conftest import problem
 
 
@@ -65,8 +65,10 @@ class TestConfig:
                 (steps(10**6 + 1, 0.2), None, "n_steps must lie")]:
             with pytest.raises(DomainError, match=message):
                 solve_volterra(prob, grid, dt)
+            # The norm curve's batch takes the same stepping.
             with pytest.raises(DomainError, match=message):
-                solve_volterra_batch(prob.params, [-1.0, -2.0], grid, dt)
+                operator_norm_curve(SpectralModel(1.0, 2), prob.params, grid,
+                                    "volterra", dt)
 
     @pytest.mark.parametrize("n_steps, marches", [(600_000, False),
                                                   (500_000, True)])
@@ -150,16 +152,16 @@ class TestSolveVolterra:
 
     def test_non_finite_batch_row_raises(self):
         with pytest.raises(AccuracyError, match=r"rho=50\.0 from t=12\.4"):
-            solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 50.0],
-                                 steps(8000, 0.0025))
+            volterra._solve_grid(KernelParams(1.0, 0.0, 0.5), 0.0025, 8000,
+                                 [-1.0, 50.0])
 
     def test_earliest_failing_step_names_the_row(self):
         # rho = -9 overflows from t = 110.2, rho = -4 only from t = 154.1;
         # rows 1 and 2 tie, and the lower one is reported
         with pytest.raises(AccuracyError,
                            match=r"rho=-9\.0 from t=110\.2 on") as info:
-            solve_volterra_batch(KernelParams(-5.0, 0.0, 0.5),
-                                 [-4.0, -9.0, -9.0], steps(2000, 0.1))
+            volterra._solve_grid(KernelParams(-5.0, 0.0, 0.5), 0.1, 2000,
+                                 [-4.0, -9.0, -9.0])
         assert info.value.row == 1
 
 
@@ -351,24 +353,23 @@ class TestBatchedMarch:
         # A batch of two or more rows marches in the batched loop, a batch
         # of one in the one-row loop: the two must agree bit for bit.
         rhos = [-float(k * k) for k in range(1, 17)]
-        grid, dt = np.linspace(0.0, 40.0, 81), 0.005  # 100 steps a cell
-        batch = solve_volterra_batch(params, rhos, grid, dt)
-        assert batch.shape == (16, 81)
+        batch = volterra._solve_grid(params, 0.005, 8000, rhos)
+        assert batch.shape == (16, 8001)
         for row, rho in zip(batch, rhos):
-            one = solve_volterra(ScalarProblem(params, rho), grid, dt)
+            one = solve_volterra(ScalarProblem(params, rho), steps(8000, 0.005))
             assert np.array_equal(row, one.values)
-        # The rows are the stepping rows at the grid nodes, and the
-        # Richardson estimate is the gap of two batched solves over every
-        # step.
+        # On a coarser grid refined to the same step the values are the
+        # rows at its nodes, and the Richardson estimate is the gap of two
+        # batched solves over every step.
+        grid, dt = np.linspace(0.0, 40.0, 81), 0.005  # 100 steps a cell
         ends = [rhos[0], rhos[-1]]
-        coarse = solve_volterra_batch(params, ends, steps(8000, 0.005))
-        assert np.array_equal(batch[[0, -1]], coarse[:, ::100])
-        fine = solve_volterra_batch(params, ends, steps(16000, 0.0025))
-        for coarse_row, fine_row, rho in zip(coarse, fine, ends):
+        fine = volterra._solve_grid(params, 0.0025, 16000, ends)
+        for coarse, fine_row, rho in zip(batch[[0, -1]], fine, ends):
             one = solve_volterra(ScalarProblem(params, rho), grid, dt,
                                  richardson=True)
+            assert np.array_equal(one.values, coarse[::100])
             assert one.error_estimate == float(
-                np.max(np.abs(fine_row[::2] - coarse_row)))
+                np.max(np.abs(fine_row[::2] - coarse)))
 
     @pytest.mark.parametrize("params", [KernelParams(1.0, 0.5, 0.5),
                                         KernelParams(-0.2, 0.0, 0.3)])
@@ -379,11 +380,11 @@ class TestBatchedMarch:
         # The smallest batches that take the batched loop, over marches
         # that are all or mostly its first step.
         rhos = [-float(k * k) for k in range(1, rows + 1)]
-        grid = steps(n_steps, 0.005)
-        batch = solve_volterra_batch(params, rhos, grid)
+        batch = volterra._solve_grid(params, 0.005, n_steps, rhos)
         assert batch.shape == (rows, n_steps + 1)
         for row, rho in zip(batch, rhos):
-            one = solve_volterra(ScalarProblem(params, rho), grid)
+            one = solve_volterra(ScalarProblem(params, rho),
+                                 steps(n_steps, 0.005))
             assert np.array_equal(row, one.values)
 
     @pytest.mark.parametrize("rows, n_steps", [(17, 10**6), (16001, 999)])
@@ -393,8 +394,8 @@ class TestBatchedMarch:
         # bound; the check comes before the kernel table and the rows.
         with pytest.raises(DomainError,
                            match=f"{rows} rows of {n_steps + 1} nodes exceed"):
-            solve_volterra_batch(KernelParams(1.0, 0.5, 0.5), [-1.0] * rows,
-                                 [0.0, n_steps * 0.005], 0.005)
+            volterra._solve_grid(KernelParams(1.0, 0.5, 0.5), 0.005, n_steps,
+                                 [-1.0] * rows)
 
     def test_long_history_sums_are_in_order_chunks(self):
         # 20,050 steps: the last history sums take three chunks.  Both loops
@@ -403,7 +404,7 @@ class TestBatchedMarch:
         params, rhos, dt, n = KernelParams(1.0, 0.5, 0.5), [-1.0, -2.0], \
             0.005, 20_050
         a = kernel_a(params, np.arange(n + 1) * dt)
-        batch = solve_volterra_batch(params, rhos, steps(n, dt))
+        batch = volterra._solve_grid(params, dt, n, rhos)
         for row, rho in zip(batch, rhos):
             want = chunked_march(a, rho, dt)
             one = solve_volterra(ScalarProblem(params, rho), steps(n, dt))
@@ -412,16 +413,20 @@ class TestBatchedMarch:
 
     def test_short_solve_is_a_prefix_of_the_long_one(self):
         prob = problem(1.0, 1.0, 0.5, -2.0)
-        # Both step at 0.005: 20 / 4000 and 40 / 8000 round alike.
+        short = solve_volterra(prob, steps(4000, 0.005))
+        long = solve_volterra(prob, steps(8000, 0.005))
+        assert np.array_equal(short.values, long.values[:4001])
+        assert np.array_equal(short.times, long.times[:4001])
+        # Refined to that step, coarser grids keep the prefix at their nodes:
+        # 20 / 4000 and 40 / 8000 round alike.
         short = solve_volterra(prob, np.linspace(0.0, 20.0, 41), 0.005)
         long = solve_volterra(prob, np.linspace(0.0, 40.0, 81), 0.005)
         assert np.array_equal(short.values, long.values[:41])
-        assert np.array_equal(short.times, long.times[:41])
 
     def test_degenerate_row_raises(self):
         with pytest.raises(StepSizeError):
-            solve_volterra_batch(KernelParams(1.0, 0.0, 0.5), [-1.0, 20.0],
-                                 steps(10, 0.1))
+            volterra._solve_grid(KernelParams(1.0, 0.0, 0.5), 0.1, 10,
+                                 [-1.0, 20.0])
 
 
 class TestVolterraGrid:
