@@ -58,7 +58,7 @@ class SpectralModel:
                 "a finite float")
 
     def eigenvalue(self, n: int) -> float:
-        if not (1 <= n <= self.n_modes):
+        if not _is_int(n) or not 1 <= n <= self.n_modes:
             raise DomainError(f"mode index must lie in 1..{self.n_modes}, got {n}")
         return (n * math.pi / self.length) ** 2
 
@@ -76,6 +76,15 @@ def eigen_pairs(model: SpectralModel) -> list[tuple[float, Callable]]:
     return [(model.eigenvalue(n), make_phi(n)) for n in range(1, model.n_modes + 1)]
 
 
+def _mode_method(method) -> CurveMethod:
+    """``method`` as a mode-curve route: series or volterra."""
+    value = getattr(method, "value", method)
+    if value not in ("series", "volterra"):
+        raise DomainError(f"unsupported mode-curve method {value!r}; "
+                          "use 'series' or 'volterra'")
+    return CurveMethod(value)
+
+
 def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
                method: str | CurveMethod = CurveMethod.SERIES) -> Curve:
     """Resolvent curve of mode n: exactly the scalar route at rho = -lambda_n.
@@ -85,28 +94,30 @@ def mode_curve(model: SpectralModel, params: KernelParams, n: int, times,
     the mode's solution raises :class:`ModeError` with the mode index.
     """
     prob = ScalarProblem(params, -model.eigenvalue(n))
-    method = CurveMethod(method)
+    method = _mode_method(method)
     try:
         if method is CurveMethod.SERIES:
             return series_curve(prob, times)
-        if method is CurveMethod.VOLTERRA:
-            return solve_volterra(prob, times)
+        return solve_volterra(prob, times)
     except DomainError:
         raise
     except MemdiffError as exc:
         raise ModeError(f"mode {n}: {exc}", mode_index=n) from exc
-    raise DomainError(f"unsupported mode-curve method {method!r}")
 
 
 def field(model: SpectralModel, params: KernelParams, u0_coeffs, t: float,
           x_grid) -> np.ndarray:
     """u(t, x) = sum_n S_n(t) <u0, phi_n> phi_n(x) over the retained modes,
     with ``u0_coeffs`` the coefficients <u0, phi_n> for n = 1..n_modes."""
-    if len(u0_coeffs) != model.n_modes:
-        raise DomainError(
-            f"expected {model.n_modes} coefficients, got {len(u0_coeffs)}")
-    if not np.isfinite(np.asarray(u0_coeffs, dtype=float)).all():
-        raise DomainError("u0_coeffs must be finite")
+    try:
+        coeffs = np.asarray(u0_coeffs)
+    except ValueError:  # a ragged nesting
+        coeffs = None
+    if (coeffs is None or coeffs.dtype.kind not in "iuf"
+            or coeffs.shape != (model.n_modes,)
+            or not np.isfinite(coeffs).all()):
+        raise DomainError(f"u0_coeffs must be a 1-D sequence of "
+                          f"{model.n_modes} finite numbers")
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     x = np.asarray(x_grid, dtype=float)
@@ -114,7 +125,7 @@ def field(model: SpectralModel, params: KernelParams, u0_coeffs, t: float,
         raise DomainError("x_grid must lie inside [0, length]")
     out = np.zeros_like(x)
     for (lam_n, phi), coeff, n in zip(
-            eigen_pairs(model), u0_coeffs, range(1, model.n_modes + 1)):
+            eigen_pairs(model), coeffs.tolist(), range(1, model.n_modes + 1)):
         if coeff == 0.0:
             continue
         try:
@@ -139,13 +150,13 @@ def operator_norm_curve(model: SpectralModel, params: KernelParams, times,
     mode for more than 10% of the stepping grid (the truncation
     is then suspect and n_modes should grow).
     """
-    method = CurveMethod(method)
+    method = _mode_method(method)
     per_cell = 1
     if method is CurveMethod.VOLTERRA:
-        grid, step, n_steps, per_cell = volterra._stepping(times, dt)
         # A batch too large is no mode's failure; it is refused before the
         # list of rhos is built.
-        volterra._check_batch(model.n_modes, n_steps)
+        grid, step, n_steps, per_cell = volterra._stepping(times, dt,
+                                                           model.n_modes)
         rhos = [-model.eigenvalue(n) for n in range(1, model.n_modes + 1)]
         try:
             # The rows on the whole stepping grid, for the truncation check;

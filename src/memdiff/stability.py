@@ -54,7 +54,7 @@ from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
 from .special import DEFAULT_SERIES_CONTROL, _is_int
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
-from .volterra import _check_steps, solve_volterra
+from .volterra import _MAX_STEPS, _stepping, solve_volterra
 
 __all__ = [
     "RegimeClass",
@@ -251,6 +251,17 @@ def _sample_left_half(rng: np.random.Generator, n: int, r_min: float) -> np.ndar
 _LEMMA_SAMPLES = 10_000
 
 
+def _check_suite_args(params: KernelParams, seed: int) -> None:
+    """Refuse a ``seed`` that is no integer >= 0 (DomainError), then an
+    unsupported regime (HypothesisError)."""
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not classify(params, 0.0).supported:
+        raise HypothesisError(
+            f"unsupported regime: alpha={params.alpha}, beta={params.beta}, "
+            f"mu={params.mu}")
+
+
 def lemma_property_suite(params: KernelParams, seed: int = 0) -> LemmaReport:
     """Sampled verification of the four symbol inequalities, on
     ``_LEMMA_SAMPLES`` = 10,000 lambdas per half plane.
@@ -263,11 +274,7 @@ def lemma_property_suite(params: KernelParams, seed: int = 0) -> LemmaReport:
     freely.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if not classify(params, 0.0).supported:
-        raise HypothesisError(
-            f"unsupported regime: alpha={alpha}, beta={beta}, mu={mu}")
+    _check_suite_args(params, seed)
     g_cap = 1.0 if alpha > 0.0 else beta ** mu / (alpha + beta ** mu)
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -322,14 +329,32 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
                    tol: float, omega: float | None, seed: int) -> dict:
     """The ``memdiff verify`` report on ``grid`` (from t = 0), a JSON-ready
     dict: three-route agreement within ``tol``, the lemma suites and, where
-    decay applies for ``omega`` (None means rho), the decay checks.  A bad
-    grid, then a ``tol`` not finite and > 0, raise DomainError before any
-    route runs."""
+    decay applies for ``omega`` (None means rho), the decay checks.
+
+    Every argument is refused before any route runs, in this order: a bad
+    grid, a ``tol`` not finite and > 0 and an ``omega`` not finite
+    (DomainError); the grid Volterra march's stepping of ``grid`` and ``dt``
+    (its checks and messages are :func:`solve_volterra`'s); a long march past
+    the step bound; then the lemma suite's ``seed`` (DomainError) and
+    regime (HypothesisError)."""
     grid = _validate_grid(grid)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     omega = prob.rho if omega is None else omega
     regime = classify(prob.params, omega)
+    _stepping(grid, dt, 1)
+    # Decay behaviour on a long horizon and, where decay applies, its
+    # stability under horizon doubling.  The march is causal, so the base
+    # horizon is a prefix of the doubled one and one solve serves both.
+    horizon = max(20.0, float(grid[-1]))
+    long_dt = 0.005
+    n_base = int(round(horizon / long_dt))
+    span = 2 if regime.decay_applicable else 1
+    n_long = int(round(span * horizon / long_dt))
+    if n_long > _MAX_STEPS:
+        raise DomainError(f"the decay check's march to t = {span * horizon} "
+                          f"needs {n_long} > {_MAX_STEPS} steps of {long_dt}")
+    _check_suite_args(prob.params, seed)
 
     # Series route, excluding the points where the series honestly fails.
     series_vals, _ = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL)
@@ -348,15 +373,6 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
 
     report_lemmas = lemma_property_suite(prob.params, seed=seed)
 
-    # Decay behaviour on a long horizon and, where decay applies, its
-    # stability under horizon doubling.  The march is causal, so the base
-    # horizon is a prefix of the doubled one and one solve serves both.
-    horizon = max(20.0, float(grid[-1]))
-    long_dt = 0.005
-    n_base = int(round(horizon / long_dt))
-    span = 2 if regime.decay_applicable else 1
-    n_long = int(round(span * horizon / long_dt))
-    _check_steps(n_long)  # before its grid is built
     long = solve_volterra(prob, np.arange(n_long + 1) * long_dt)
     base = Curve(long.times[:n_base + 1], long.values[:n_base + 1],
                  CurveMethod.VOLTERRA, prob)

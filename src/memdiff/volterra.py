@@ -18,9 +18,13 @@ dt <= 0.005 is the budget used for golden comparisons.
 
 :func:`solve_volterra` returns the solution at the nodes of a uniform grid
 from 0.  It steps on the grid itself or, given ``dt``, on its cells split
-into the fewest equal steps no longer than ``dt`` (``_stepping``, which
-:func:`~memdiff.spectral.operator_norm_curve` also uses for its batch of
-modes).
+into the fewest equal steps no longer than ``dt``.  The stepping is made by
+``_stepping``, which is also the one check of every size of a march: the
+step count (at most ``_MAX_STEPS``), the step (in (0, 0.1]) and the batch
+table (at most ``_MAX_TABLE`` floats), each refused before anything of that
+size is built.  :func:`~memdiff.spectral.operator_norm_curve` calls it for
+its batch of modes, and :func:`~memdiff.stability.verify_problem` before
+any of its routes runs.
 
 One engine, ``_solve_grid``, marches a batch of rhos on one stepping.  The
 kernel does not depend on rho, so its table a(i dt), i = 0..n, is built
@@ -124,22 +128,12 @@ def kernel_a(params: KernelParams, t):
     return float(a) if ts.ndim == 0 else a
 
 
-def _check_batch(rows: int, n: int) -> None:
-    """Refuse a batch of ``rows`` rows of ``n + 1`` nodes past the table
-    bound, before anything of that size is built."""
-    if rows * (n + 1) > _MAX_TABLE:
-        raise DomainError(
-            f"{rows} rows of {n + 1} nodes exceed the batch bound of "
-            f"{_MAX_TABLE} floats")
-
-
 def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     """Rows u_r(i dt), i = 0..n, for every rho_r of ``rhos``: shape
     (len(rhos), n + 1).  A row that is not finite raises
     :class:`AccuracyError` for the row that fails at the earliest step (the
     lowest such row on a tie), with that row's index as its ``row``."""
     rhos = np.asarray(rhos, dtype=float)
-    _check_batch(rhos.size, n)
     denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
     if np.any(np.abs(denom) < 1e-12):
         worst = float(np.min(np.abs(denom)))
@@ -207,20 +201,19 @@ def _chunked_dot(a, u):
     return total
 
 
-def _check_steps(n_steps: int) -> None:
-    """Refuse more than ``_MAX_STEPS`` steps before anything that long is
-    built."""
-    if n_steps > _MAX_STEPS:
-        raise DomainError(
-            f"n_steps must lie in [1, {_MAX_STEPS}], got {n_steps}")
+def _stepping(grid, dt: float | None,
+              rows: int) -> tuple[np.ndarray, float, int, int]:
+    """``(grid, step, n_steps, per_cell)`` for a batch of ``rows`` rows on a
+    uniform ``grid`` from 0 (equal cells up to the rounding of the nodes),
+    grid node j at step j * per_cell.  Without ``dt`` the grid is its own
+    stepping; with it, each cell is split into the fewest equal steps no
+    longer than ``dt`` (to 1e-9 relative), which must be finite and > 0.
 
-
-def _stepping(grid, dt: float | None) -> tuple[np.ndarray, float, int, int]:
-    """``(grid, step, n_steps, per_cell)`` for a uniform ``grid`` from 0
-    (equal cells up to the rounding of the nodes), grid node j at step
-    j * per_cell.  Without ``dt`` the grid is its own stepping; with it, each
-    cell is split into the fewest equal steps no longer than ``dt`` (to 1e-9
-    relative), which must be finite and > 0.  The step must lie in (0, 0.1].
+    Every size of a march is checked here, before anything of that size is
+    built, in this order after the grid, ``dt`` and uniformity: at most
+    ``_MAX_STEPS`` steps (the refusal names ``dt``, or the grid spacing
+    without it), a step in (0, 0.1], and at most ``_MAX_TABLE`` floats in
+    the rows.
     """
     grid = _validate_grid(grid)
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
@@ -231,18 +224,24 @@ def _stepping(grid, dt: float | None) -> tuple[np.ndarray, float, int, int]:
             atol=4.0 * np.finfo(float).eps * grid[-1]):
         raise DomainError("the Volterra route needs a uniform grid starting at 0")
     spacing = float(cells[0])
-    if dt is not None and spacing / dt * (grid.size - 1) > _MAX_STEPS:
-        # Bounded before math.ceil below, which fails on an infinite ratio.
-        raise DomainError(f"dt = {dt} needs more than {_MAX_STEPS} steps")
-    per_cell = 1 if dt is None else max(1, math.ceil(spacing / dt - 1e-9))
+    dt = spacing if dt is None else dt
+    # Capped before math.ceil, which fails on an infinite ratio; a capped
+    # count is past the bound.
+    per_cell = max(1, math.ceil(min(spacing / dt, _MAX_STEPS + 1) - 1e-9))
     n_steps = per_cell * (grid.size - 1)
-    _check_steps(n_steps)
+    if n_steps > _MAX_STEPS:
+        raise DomainError(f"dt = {dt} needs more than {_MAX_STEPS} steps to "
+                          f"reach t = {float(grid[-1])}")
     # With one step per cell the step is the spacing itself; on a
     # numpy.linspace grid that equals grid[-1] / n_steps bit for bit.
     step = spacing if per_cell == 1 else float(grid[-1]) / n_steps
     if not (0.0 < step <= 0.1):
         raise DomainError(
             f"dt must lie in (0, 0.1] for the accuracy claims, got {step}")
+    if rows * (n_steps + 1) > _MAX_TABLE:
+        raise DomainError(
+            f"{rows} rows of {n_steps + 1} nodes exceed the batch bound of "
+            f"{_MAX_TABLE} floats")
     return grid, step, n_steps, per_cell
 
 
@@ -256,7 +255,7 @@ def solve_volterra(prob: ScalarProblem, grid, dt: float | None = None,
     max-norm difference over the stepping nodes as an error estimate; it is
     refused when that solve would pass the step bound.
     """
-    grid, step, n, per_cell = _stepping(grid, dt)
+    grid, step, n, per_cell = _stepping(grid, dt, 1)
     if richardson and 2 * n > _MAX_STEPS:
         raise DomainError(
             f"richardson needs {2 * n} steps at dt/2, more than {_MAX_STEPS}")

@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memdiff import (Curve, DomainError, KernelParams, MLParams, ModeError,
-                     ScalarProblem, SeriesControl, SpectralModel, field,
-                     invert_transform, lemma_property_suite, mode_curve,
+from memdiff import (Curve, CurveMethod, DomainError, HypothesisError,
+                     KernelParams, MLParams, ModeError, ScalarProblem,
+                     SeriesControl, SpectralModel, field, invert_transform,
+                     lemma_property_suite, mode_curve, operator_norm_curve,
                      theoretical_bound, verify_bound, verify_problem)
-from memdiff import stability
+from memdiff import stability, volterra
 from memdiff.cli import main
 from conftest import HUGE_K
 
@@ -56,13 +57,42 @@ def zero_bound():
                              contour_scale=np.inf),
     lambda: verify_problem(ScalarProblem(PARAMS, -1.0), np.zeros((2, 2)),
                            0.0025, 1e-4, None, 0),
+    # A mode index is an integer; a float mode would be a curve of rho =
+    # -(n pi / L)^2 for no mode of the model.
+    lambda: mode_curve(SpectralModel(math.pi, 3), PARAMS, 1.5,
+                       [0.0, 0.5, 1.0]),
+    lambda: MODEL.eigenvalue(1.0),
+    lambda: MODEL.eigenvalue(True),
+    # Coefficients are a 1-D sequence of n_modes finite numbers.
+    lambda: field(SpectralModel(1.0, 1), PARAMS, 1.0, 0.3, [0.2]),
+    lambda: field(MODEL, PARAMS, [[1.0], [0.0]], 0.3, [0.2]),
+    lambda: field(MODEL, PARAMS, [[1.0], [0.0, 1.0]], 0.3, [0.2]),
+    lambda: field(MODEL, PARAMS, ["1", "0"], 0.3, [0.2]),
+    lambda: field(MODEL, PARAMS, [1.0, 1j], 0.3, [0.2]),
 ], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-modes-float",
         "n-modes-bool", "seed-float", "seed-bool", "curve-nan", "curve-inf",
         "bound-all-zero", "field-x-nan", "field-coeff-nan", "field-coeff-inf",
-        "contour-scale-nan", "contour-scale-inf", "verify-grid-2d"])
+        "contour-scale-nan", "contour-scale-inf", "verify-grid-2d",
+        "mode-index-float", "eigenvalue-float", "eigenvalue-bool",
+        "field-coeff-scalar", "field-coeff-2d", "field-coeff-ragged",
+        "field-coeff-str", "field-coeff-complex"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("method, value", [
+    ("x", "'x'"), ("laplace", "'laplace'"),
+    (CurveMethod.LAPLACE, "'laplace'")], ids=["x", "laplace", "enum-laplace"])
+@pytest.mark.parametrize("route", [
+    lambda method: mode_curve(MODEL, PARAMS, 1, T, method),
+    lambda method: operator_norm_curve(MODEL, PARAMS, T, method),
+], ids=["mode-curve", "norm-curve"])
+def test_unknown_spectral_method_is_named(route, method, value):
+    with pytest.raises(DomainError,
+                       match=f"^unsupported mode-curve method {value}; "
+                             "use 'series' or 'volterra'$"):
+        route(method)
 
 
 @pytest.mark.parametrize("k", HUGE_K)
@@ -88,19 +118,40 @@ def test_verify_problem_takes_a_list_grid():
                               None, 0))
 
 
-def test_verify_problem_refuses_a_long_march_before_its_grid_is_built():
-    # The grid march takes 26,000 steps of 0.1.  The doubled-horizon march
-    # would take 1,040,000 steps of 0.005, past the step bound; its 8.3 MB
-    # grid is never built.
-    tracemalloc.start()
-    try:
-        with pytest.raises(DomainError, match="got 1040000$"):
-            verify_problem(ScalarProblem(PARAMS, -1.0), [0.0, 2600.0], 0.1,
-                           1e-4, None, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+def test_verify_problem_refuses_a_long_march_before_its_grid_is_built(
+        monkeypatch):
+    # Every refusal comes before any route runs, and before a grid of the
+    # march's size is built.
+    def spy(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(stability, "_series_grid", spy)
+    monkeypatch.setattr(stability, "invert_S_curve", spy)
+    monkeypatch.setattr(volterra, "_solve_grid", spy)
+    grid32 = np.linspace(0.0, 5.0, 32)
+    for params, grid, dt, seed, error, message in [
+            # The grid march takes 26,000 steps of 0.1.  The doubled-horizon
+            # march would take 1,040,000 steps of 0.005, past the step bound;
+            # its 8.3 MB grid is never built.
+            (PARAMS, [0.0, 2600.0], 0.1, 0, DomainError,
+             r"^the decay check's march to t = 5200\.0 needs 1040000 > "
+             r"1000000 steps of 0\.005$"),
+            (PARAMS, grid32, 0.0, 0, DomainError, "dt must be finite and > 0"),
+            # Without dt the grid is the stepping; its cells exceed 0.1.
+            (PARAMS, grid32, None, 0, DomainError,
+             r"dt must lie in \(0, 0\.1\]"),
+            (PARAMS, grid32, 0.0025, -1, DomainError, "seed must be >= 0"),
+            (KernelParams(-1.0, 0.5, 0.5), grid32, 0.0025, 0, HypothesisError,
+             "unsupported regime")]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                verify_problem(ScalarProblem(params, -1.0), grid, dt, 1e-4,
+                               None, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_mode_curve_passes_a_kernel_domain_error_through():

@@ -55,14 +55,17 @@ class TestConfig:
                 ([0.0, 1.0], 0.0, "dt must be finite and > 0"),
                 ([0.0], None, "uniform grid"),
                 ([0.0, 5000.01], 0.005, "needs more than 1000000 steps"),
+                # Without dt the grid spacing is the step the message names.
                 (steps(10**6 + 1, 1e-7), None,
-                 r"n_steps must lie in \[1, 1000000\]"),
+                 r"^dt = 1e-07 needs more than 1000000 steps to reach "
+                 r"t = 0\.1000001$"),
                 # Each input below fails two checks and gets the earlier:
                 # grid, dt, uniformity, the step bound, then the step.
                 ([0.0, math.nan], -1.0, "time grid must be finite"),
                 ([0.0, 0.1, 0.5], -1.0, "dt must be finite"),
                 ([0.0, 0.1, 0.5], 0.2, "uniform grid"),
-                (steps(10**6 + 1, 0.2), None, "n_steps must lie")]:
+                (steps(10**6 + 1, 0.2), None,
+                 "dt = 0.2 needs more than 1000000 steps")]:
             with pytest.raises(DomainError, match=message):
                 solve_volterra(prob, grid, dt)
             # The norm curve's batch takes the same stepping.
@@ -391,11 +394,11 @@ class TestBatchedMarch:
     def test_batch_table_is_bounded_before_it_is_allocated(self, rows,
                                                            n_steps):
         # rows * (n_steps + 1) floats may not exceed 16 rows at the step
-        # bound; the check comes before the kernel table and the rows.
+        # bound; the stepping refuses it before the kernel table and the rows
+        # are built, as the last of its checks.
         with pytest.raises(DomainError,
                            match=f"{rows} rows of {n_steps + 1} nodes exceed"):
-            volterra._solve_grid(KernelParams(1.0, 0.5, 0.5), 0.005, n_steps,
-                                 [-1.0] * rows)
+            volterra._stepping(steps(n_steps, 0.005), None, rows)
 
     def test_long_history_sums_are_in_order_chunks(self):
         # 20,050 steps: the last history sums take three chunks.  Both loops
@@ -432,12 +435,12 @@ class TestBatchedMarch:
 class TestVolterraGrid:
     def test_grid_is_its_own_stepping_grid(self):
         grid = np.arange(0.0, 201.0) * 0.01
-        _, step, n_steps, per_cell = volterra._stepping(grid, None)
+        _, step, n_steps, per_cell = volterra._stepping(grid, None, 1)
         assert (step, n_steps, per_cell) == (grid[1], 200, 1)
 
     def test_cells_split_into_steps_no_longer_than_dt(self):
         grid = np.linspace(0.0, 5.0, 32)
-        _, step, n_steps, per_cell = volterra._stepping(grid, 0.0025)
+        _, step, n_steps, per_cell = volterra._stepping(grid, 0.0025, 1)
         assert per_cell == 65
         assert n_steps == 65 * 31
         assert step == 5.0 / n_steps <= 0.0025
@@ -445,14 +448,14 @@ class TestVolterraGrid:
     def test_one_step_per_cell_on_linspace_is_the_end_over_steps(self):
         for tmax, points in ((5.0, 51), (7.3, 1001), (0.3, 11), (20.0, 4001)):
             grid = np.linspace(0.0, tmax, points)
-            _, step, _, per_cell = volterra._stepping(grid, 0.1)
+            _, step, _, per_cell = volterra._stepping(grid, 0.1, 1)
             assert per_cell == 1
             assert step == tmax / (points - 1)
 
     def test_long_linspace_grid_is_uniform(self):
         # its cells differ by more than 1e-12 relative through node rounding
         grid = np.linspace(0.0, 5.0, 100001)
-        _, step, n_steps, per_cell = volterra._stepping(grid, None)
+        _, step, n_steps, per_cell = volterra._stepping(grid, None, 1)
         assert (step, n_steps, per_cell) == (grid[1], 100000, 1)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.5], [0.1, 0.2, 0.3], [0.0],
