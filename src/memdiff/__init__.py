@@ -16,8 +16,8 @@ on an interval.
 from .errors import (AccuracyError, ContourError, ConvergenceError,
                      DomainError, HypothesisError, MemdiffError, ModeError,
                      SingularityError, StepSizeError, TruncationError)
-from .inversion import (InversionConfig, forward_transform, invert_S,
-                        invert_S_curve, invert_transform)
+from .inversion import (forward_transform, invert_S, invert_S_curve,
+                        invert_transform)
 from .resolvent import (Curve, CurveMethod, mu1_closed_form, series_S,
                         series_curve)
 from .special import (DEFAULT_SERIES_CONTROL, MLParams, SeriesControl,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "BoundCheck", "ContourError", "ConvergenceError",
     "Curve", "CurveMethod", "DEFAULT_SERIES_CONTROL", "DecayBound",
-    "DomainError", "HypothesisError", "InversionConfig", "KernelParams",
+    "DomainError", "HypothesisError", "KernelParams",
     "LemmaCheck", "LemmaReport", "MLParams", "MemdiffError", "ModeError",
     "RateFit", "Regime", "RegimeClass",
     "ScalarProblem", "SeriesControl", "SingularityError", "SpectralModel",

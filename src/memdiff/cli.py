@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, HypothesisError, MemdiffError
-from .inversion import InversionConfig, invert_S_curve
+from .inversion import invert_S_curve
 # Nothing here calls series_S, fit_decay_rate, verify_bound or
 # lemma_property_suite; the benchmark's tracer hooks them in this module.
 from .resolvent import Curve, CurveMethod, series_S, series_curve  # noqa: F401
@@ -145,7 +145,7 @@ def cmd_scalar_curve(args) -> int:
     elif method is CurveMethod.VOLTERRA:
         curve = solve_volterra(prob, grid, args.dt)
     else:
-        curve = invert_S_curve(prob, grid, InversionConfig(n_nodes=args.nodes))
+        curve = invert_S_curve(prob, grid, args.nodes)
     return _write_curve(args, curve)
 
 

@@ -11,6 +11,10 @@ amplification:
 
     r = max(floor, min(n_nodes / 5, 16)).
 
+``n_nodes`` is an even integer in [16, 256] (64 by default); accuracy
+saturates around 1e-10 past ~96 nodes.  Every public call refuses any
+other count with :class:`DomainError` before it computes a radius.
+
 The floor only matters when poles demand a wider contour than accuracy
 alone would pick.  For the scalar resolvent it is ``_default_scale``,
 max(1, 2(|rho| + beta)), which keeps the symbol's poles and its branch cut
@@ -38,17 +42,16 @@ sampled curve plus an analytic exponential-tail correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import AccuracyError, ContourError, DomainError
 from .resolvent import Curve, CurveMethod, _validate_grid
+from .special import _is_int
 from .symbols import ScalarProblem, laplace_S_hat, laplace_S_hat_den
 
 __all__ = [
-    "InversionConfig",
     "invert_transform",
     "invert_S",
     "invert_S_curve",
@@ -59,20 +62,10 @@ IM_RESIDUE_TOL = 1e-8
 _NODE_POLE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Contour quadrature knob: ``n_nodes`` (even, 16..256; accuracy
-    saturates around 1e-10 past ~96 nodes)."""
-
-    n_nodes: int = 64
-
-    def __post_init__(self) -> None:
-        if not (16 <= self.n_nodes <= 256) or self.n_nodes % 2:
-            raise DomainError(
-                f"n_nodes must be even and in [16, 256], got {self.n_nodes}")
-
-
-DEFAULT_INVERSION_CONFIG = InversionConfig()
+def _check_nodes(n_nodes) -> None:
+    if not _is_int(n_nodes) or not 16 <= n_nodes <= 256 or n_nodes % 2:
+        raise DomainError(
+            f"n_nodes must be even and in [16, 256], got {n_nodes}")
 
 
 def _contour(t: np.ndarray, n_nodes: int, radius):
@@ -89,8 +82,7 @@ def _contour(t: np.ndarray, n_nodes: int, radius):
 
 
 def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
-                     cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
-                     contour_scale: float = 1.0):
+                     n_nodes: int = 64, contour_scale: float = 1.0):
     """Invert an arbitrary scalar transform at a time t > 0, or at every time
     of a vector of times.
 
@@ -101,17 +93,18 @@ def invert_transform(transform: Callable[[np.ndarray], np.ndarray], t,
     (< 1e-8 for the resolvent wrappers).  ``contour_scale`` floors the
     contour radius and must be finite.
     """
+    _check_nodes(n_nodes)
     times = np.asarray(t, dtype=float)
     bad = times[~(np.isfinite(times) & (times > 0.0))]
     if bad.size:
         raise DomainError(f"inversion requires t > 0, got {float(bad[0])}")
     if not math.isfinite(contour_scale):
         raise DomainError(f"contour_scale must be finite, got {contour_scale}")
-    radius = max(contour_scale, min(cfg.n_nodes / 5.0, 16.0))
+    radius = max(contour_scale, min(n_nodes / 5.0, 16.0))
     # A contour, transform or sum that overflows (t near 0, say) is reported
     # through the sum's non-finite value.
     with np.errstate(all="ignore"):
-        lam, weights = _contour(times, cfg.n_nodes, radius)
+        lam, weights = _contour(times, n_nodes, radius)
         vals = np.asarray(transform(lam), dtype=np.complex128)
         total = np.sum(np.exp(lam * times[..., None]) * vals * weights, axis=-1)
     if times.ndim == 0:
@@ -129,7 +122,7 @@ def _default_scale(prob: ScalarProblem) -> float:
 
 
 def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
-                   cfg: InversionConfig) -> np.ndarray:
+                   n_nodes: int) -> np.ndarray:
     """S at every time of ``times`` (all > 0) by one contour quadrature over
     the (T, N) node array, raising the error of the first failing time.
 
@@ -152,7 +145,8 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
             vals[:guarded] = laplace_S_hat(prob, lam[:guarded])
         return vals
 
-    values, residues = invert_transform(s_hat, times, cfg, _default_scale(prob))
+    values, residues = invert_transform(s_hat, times, n_nodes,
+                                         _default_scale(prob))
     for i in range(guarded):
         if not math.isfinite(values[i]):
             raise AccuracyError(
@@ -169,23 +163,23 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray,
     return values
 
 
-def invert_S(prob: ScalarProblem, t: float,
-             cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> float:
+def invert_S(prob: ScalarProblem, t: float, n_nodes: int = 64) -> float:
     """S(t) by contour quadrature of its closed-form transform (t > 0): the
     grid engine on the one-point grid [t]."""
-    return float(_invert_S_grid(prob, np.array([t], dtype=float), cfg)[0])
+    _check_nodes(n_nodes)
+    return float(_invert_S_grid(prob, np.array([t], dtype=float), n_nodes)[0])
 
 
-def invert_S_curve(prob: ScalarProblem, times,
-                   cfg: InversionConfig = DEFAULT_INVERSION_CONFIG) -> Curve:
+def invert_S_curve(prob: ScalarProblem, times, n_nodes: int = 64) -> Curve:
     """Sample S on a grid starting at t = 0; the t = 0 value is the known
     S(0) = 1 (the contour rule itself is undefined there).  One quadrature
     serves every t > 0, and each value equals :func:`invert_S` at its time
     bit for bit."""
+    _check_nodes(n_nodes)
     grid = _validate_grid(times)
     values = np.empty(grid.size)
     values[0] = 1.0
-    values[1:] = _invert_S_grid(prob, grid[1:], cfg)
+    values[1:] = _invert_S_grid(prob, grid[1:], n_nodes)
     return Curve(grid, values, CurveMethod.LAPLACE, prob)
 
 

@@ -101,8 +101,12 @@ def kernel_a(params: KernelParams, t):
     with every element equal to its one-point value bit for bit.  For that,
     the beta = 0 power is a per-element Python power: numpy's need not round
     like libm's.  The function is array-first: a one-point call runs the
-    array engine on one element and costs 0.1-0.8 ms.  A beta > 0 whose
-    beta^-mu is not a finite float raises :class:`DomainError`.
+    array engine on one element and costs 0.1-0.8 ms.
+
+    A kernel that leaves the float range raises :class:`DomainError`: for
+    beta > 0, a factor beta^-mu or alpha*beta^-mu that is not a finite float;
+    for beta = 0, a table value alpha t^mu / Gamma(mu+1) that is not one,
+    named at its first such t.  A finite table keeps its bits.
     """
     ts = np.asarray(t, dtype=float)
     bad = ts[~(np.isfinite(ts) & (ts >= 0.0))]
@@ -110,8 +114,16 @@ def kernel_a(params: KernelParams, t):
         raise DomainError(f"t must be finite and >= 0, got {float(bad[0])}")
     if params.beta == 0.0:
         powers = np.array([v ** params.mu for v in ts.reshape(-1).tolist()])
-        a = 1.0 + params.alpha * powers.reshape(ts.shape) / math.gamma(
-            params.mu + 1.0)
+        with np.errstate(over="ignore"):
+            table = params.alpha * powers.reshape(ts.shape) / math.gamma(
+                params.mu + 1.0)
+        bad = ts[~np.isfinite(table)]
+        if bad.size:
+            raise DomainError(
+                f"the kernel's table value alpha t^mu / Gamma(mu+1) is not a "
+                f"finite float at t={float(bad[0])} for alpha={params.alpha}, "
+                f"mu={params.mu}")
+        a = 1.0 + table
     else:
         try:
             scale = params.beta ** (-params.mu)
@@ -119,11 +131,17 @@ def kernel_a(params: KernelParams, t):
             raise DomainError(
                 f"the kernel's factor beta^-mu is not a finite float for "
                 f"beta={params.beta}, mu={params.mu}") from None
+        factor = params.alpha * scale
+        if not math.isfinite(factor):
+            raise DomainError(
+                f"the kernel's factor alpha*beta^-mu is not a finite float "
+                f"for alpha={params.alpha}, beta={params.beta}, "
+                f"mu={params.mu}")
         # A beta t past the float range takes the largest float, where P is
         # already its exact limit 1.
         with np.errstate(over="ignore"):
             x = np.minimum(params.beta * ts, np.finfo(float).max)
-        a = 1.0 + params.alpha * scale * reg_lower_inc_gamma(params.mu, x)
+        a = 1.0 + factor * reg_lower_inc_gamma(params.mu, x)
     a = np.where(ts == 0.0, 1.0, a)
     return float(a) if ts.ndim == 0 else a
 

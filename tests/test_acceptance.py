@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from memdiff import (ConvergenceError, Curve, DecayBound, InversionConfig,
-                     invert_S_curve,
+from memdiff import (ConvergenceError, Curve, DecayBound, invert_S_curve,
                      KernelParams, ScalarProblem, SpectralModel,
                      fit_decay_rate, forward_transform,
                      invert_S, laplace_S_hat, lemma_property_suite,
@@ -279,8 +278,8 @@ def test_criterion_8_self_convergence():
     worst = 0.0
     for prob in GOLDEN_GRID + MU1_NAMED:
         for t in tgrid:
-            v32 = invert_S(prob, float(t), InversionConfig(n_nodes=32))
-            v64 = invert_S(prob, float(t), InversionConfig(n_nodes=64))
+            v32 = invert_S(prob, float(t), n_nodes=32)
+            v64 = invert_S(prob, float(t), n_nodes=64)
             worst = max(worst, abs(v32 - v64))
     assert worst < 1e-8
     report("criterion 8",

@@ -54,6 +54,11 @@ GOLDEN = ("--alpha", "1", "--beta", "3", "--mu", "1", "--rho", "-1")
 NORM = ("--alpha", "1", "--beta", "0.5", "--mu", "0.5", "--tmax", "1",
         "--points", "3")
 
+# Kernels past the float range: the factor alpha beta^-mu (beta > 0) and a
+# table value alpha t^mu / Gamma(mu+1) (beta = 0).
+OVERFLOW_FACTOR = ("-a", "1e300", "-b", "1e-9", "-m", "0.999999")
+OVERFLOW_TABLE = ("-a", "1e308", "-b", "0", "-m", "1")
+
 # Stands for a path whose directory does not exist.
 MISSING = object()
 
@@ -140,6 +145,34 @@ MISSING = object()
     # k + n + 1.0 is not exact past 2**53
     *((("eval-ml", "-m", "0.5", "-k", str(k), "--z", "-1"), 64,
        "k must be < 2**53") for k in HUGE_K),
+    # a contour node count that is odd or out of [16, 256], refused before
+    # the contour radius is computed
+    *((("scalar-curve", "-a", "1", "-b", beta, "-m", "0.5", "-r", "-1",
+        "--points", "3", "--method", "laplace", "--nodes", nodes), 64,
+       f"n_nodes must be even and in [16, 256], got {nodes}\n")
+      for beta, nodes in [("1", "15"), ("1", "14"), ("1", "512"),
+                          ("1e308", "15")]),
+    # the kernel's factor alpha beta^-mu past the float range
+    (("scalar-curve", *OVERFLOW_FACTOR, "-r", "-1", "--tmax", "0.5",
+      "--points", "3", "--method", "volterra"), 64,
+     "the kernel's factor alpha*beta^-mu is not a finite float"),
+    (("norm-curve", *OVERFLOW_FACTOR, "--tmax", "0.5", "--points", "3",
+      "--modes", "3"), 64,
+     "the kernel's factor alpha*beta^-mu is not a finite float"),
+    (("verify", *OVERFLOW_FACTOR, "-r", "-1", "--tmax", "0.5", "--points",
+      "3"), 64, "the kernel's factor alpha*beta^-mu is not a finite float"),
+    # a beta = 0 kernel table value alpha t^mu / Gamma(mu+1) past it
+    (("scalar-curve", *OVERFLOW_TABLE, "-r", "-1", "--tmax", "5",
+      "--points", "3", "--method", "volterra"), 64,
+     "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
+     "float at t=1.8"),
+    (("norm-curve", *OVERFLOW_TABLE, "--tmax", "5", "--points", "3",
+      "--modes", "3"), 64,
+     "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
+     "float at t=1.8"),
+    (("verify", *OVERFLOW_TABLE, "-r", "-1", "--tmax", "5", "--points", "3"),
+     64, "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
+     "float at t=1.8"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
@@ -152,7 +185,12 @@ MISSING = object()
         "norm-curve-beta-5e-324", "verify-beta-5e-324", "verify-mu-5e-4",
         "classify-alpha-omega-1e310", "laplace-tmax-1e-320",
         "laplace-beta-1e308", "verify-beta-1e308",
-        *(f"eval-ml-k-{k}" for k in HUGE_K)])
+        *(f"eval-ml-k-{k}" for k in HUGE_K),
+        "laplace-nodes-15", "laplace-nodes-14", "laplace-nodes-512",
+        "laplace-nodes-15-beta-1e308", "scalar-curve-kernel-factor-inf",
+        "norm-curve-kernel-factor-inf", "verify-kernel-factor-inf",
+        "scalar-curve-kernel-table-inf", "norm-curve-kernel-table-inf",
+        "verify-kernel-table-inf"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -178,6 +216,17 @@ def test_vanishing_memory_leaves_exp_minus_t(argv):
     rows = np.array([[float(x) for x in line.split(",")[:2]]
                      for line in cp.stdout.splitlines()[1:]])
     assert np.max(np.abs(rows[:, 1] - np.exp(-rows[:, 0]))) <= 1e-4
+
+
+def test_mu_near_zero_damped_kernel_is_the_bare_one():
+    # At mu = 1e-310 the incomplete gamma's series passes the float range;
+    # P is 1, so both kernels are 1 + alpha for t > 0 and the curves agree.
+    argv = ("scalar-curve", "-a", "1", "-m", "1e-310", "-r", "-1", "--tmax",
+            "0.5", "--points", "3", "--method", "volterra")
+    damped, bare = run_cli(*argv, "-b", "0.5"), run_cli(*argv, "-b", "0")
+    assert (damped.returncode, damped.stderr) == (0, "")
+    assert damped.stdout == bare.stdout
+    assert bare.stdout.count("\n") == 4
 
 
 @pytest.mark.parametrize("command", ["scalar-curve", "norm-curve", "verify"])

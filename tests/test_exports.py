@@ -99,16 +99,38 @@ def test_runtime_imports_are_numpy_only(name):
     assert sorted(_imported_packages(module) - allowed) == []
 
 
+# Every public name, so that adding or removing one is an edit here.
+_PUBLIC_NAMES = [
+    "AccuracyError", "BoundCheck", "ContourError", "ConvergenceError",
+    "Curve", "CurveMethod", "DEFAULT_SERIES_CONTROL", "DecayBound",
+    "DomainError", "HypothesisError", "KernelParams", "LemmaCheck",
+    "LemmaReport", "MLParams", "MemdiffError", "ModeError", "RateFit",
+    "Regime", "RegimeClass", "ScalarProblem", "SeriesControl",
+    "SingularityError", "SpectralModel", "StepSizeError", "TruncationError",
+    "classify", "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
+    "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
+    "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
+    "mode_curve", "mu1_closed_form", "operator_norm_curve", "prabhakar_ml",
+    "reg_lower_inc_gamma", "series_S", "series_curve", "solve_volterra",
+    "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",
+    "verify_bound", "verify_problem",
+]
+
+
+def test_public_name_set_is_pinned():
+    assert _PUBLIC_NAMES == sorted(_PUBLIC_NAMES)
+    assert sorted(memdiff.__all__) == _PUBLIC_NAMES
+
+
 # Every optional parameter of a public function and every field of a public
 # config, by name, so that a new knob has to be added here.
 _PUBLIC_OPTIONS = [
-    "invert_S.cfg", "invert_S_curve.cfg", "invert_transform.cfg",
+    "invert_S.n_nodes", "invert_S_curve.n_nodes", "invert_transform.n_nodes",
     "invert_transform.contour_scale", "lemma_property_suite.seed",
     "mode_curve.method", "operator_norm_curve.method",
     "operator_norm_curve.dt", "prabhakar_ml.ctl", "series_curve.ctl",
     "solve_volterra.dt", "solve_volterra.richardson",
-    "InversionConfig.n_nodes", "SeriesControl.rel_tol",
-    "SeriesControl.max_terms",
+    "SeriesControl.rel_tol", "SeriesControl.max_terms",
 ]
 
 
@@ -120,7 +142,6 @@ def test_public_option_set_is_pinned():
             options += [f"{name}.{p.name}" for p in
                         inspect.signature(obj).parameters.values()
                         if p.default is not inspect.Parameter.empty]
-    for config in (memdiff.InversionConfig, memdiff.SeriesControl):
-        options += [f"{config.__name__}.{f.name}"
-                    for f in dataclasses.fields(config)]
+    options += [f"SeriesControl.{f.name}"
+                for f in dataclasses.fields(memdiff.SeriesControl)]
     assert sorted(options) == sorted(_PUBLIC_OPTIONS)

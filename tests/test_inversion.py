@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import memdiff.inversion as inversion_mod
 from memdiff import (AccuracyError, ContourError, Curve, DomainError,
-                     InversionConfig, MemdiffError, forward_transform,
+                     MemdiffError, forward_transform,
                      invert_S, invert_S_curve, invert_transform,
                      laplace_S_hat, series_curve, mu1_closed_form)
 from conftest import curve_sweep_cases, error_record, problem
@@ -14,12 +14,34 @@ from conftest import curve_sweep_cases, error_record, problem
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            InversionConfig(n_nodes=15)
-        with pytest.raises(DomainError):
-            InversionConfig(n_nodes=14)
-        with pytest.raises(DomainError):
-            InversionConfig(n_nodes=512)
+        # the node count is a plain argument, refused by each call itself; a
+        # float such as 64.0 is no count
+        prob = problem(1.0, 0.5, 0.5, -1.0)
+        for n_nodes in (15, 14, 512, 0, -64, 64.0, True):
+            for call in (lambda: invert_S(prob, 1.0, n_nodes),
+                         lambda: invert_S_curve(prob, [0.0, 1.0], n_nodes),
+                         lambda: invert_transform(lambda lam: 1.0 / lam, 1.0,
+                                                  n_nodes=n_nodes)):
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == (
+                    f"n_nodes must be even and in [16, 256], got {n_nodes}")
+
+    @pytest.mark.parametrize("call", [
+        lambda prob: invert_S(prob, 0.0, 15),
+        lambda prob: invert_S_curve(prob, [0.0, 0.0], 15),
+    ], ids=["invert_S", "invert_S_curve"])
+    def test_count_is_refused_before_time_grid_and_radius(self, call):
+        # the radius 2(|rho| + beta) is not a finite float here, and the
+        # time (grid) is bad too: the node count is named first
+        with pytest.raises(DomainError, match="^n_nodes must be even"):
+            call(problem(1.0, 1e308, 0.5, -1.0))
+
+    @pytest.mark.parametrize("n_nodes", [16, 18, 64, 256])
+    def test_even_counts_in_range_are_taken(self, n_nodes):
+        value, _ = invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
+                                    n_nodes=n_nodes)
+        assert abs(value - math.exp(-1.0)) < 1e-3
 
 
 class TestInvertTransform:
@@ -44,11 +66,10 @@ class TestInvertTransform:
             calls.append(lam)
             return 1.0 / (lam + 1.0)
 
-        cfg = InversionConfig(n_nodes=32)
-        invert_transform(transform, 1.0, cfg)
+        invert_transform(transform, 1.0, n_nodes=32)
         assert len(calls) == 1
         assert isinstance(calls[0], np.ndarray)
-        assert calls[0].shape == (cfg.n_nodes,)
+        assert calls[0].shape == (32,)
 
     def test_vector_of_times_is_one_call_and_the_scalar_rows(self):
         calls = []
@@ -100,8 +121,8 @@ class TestInvertS:
     def test_node_doubling_stability(self):
         prob = problem(1.0, 1.0, 0.8, -2.0)
         for t in (0.2, 1.0, 4.8):
-            v32 = invert_S(prob, t, InversionConfig(n_nodes=32))
-            v64 = invert_S(prob, t, InversionConfig(n_nodes=64))
+            v32 = invert_S(prob, t, n_nodes=32)
+            v64 = invert_S(prob, t, n_nodes=64)
             assert abs(v32 - v64) < 1e-8
 
     def test_rejects_time_zero(self, double_root_problem):
@@ -153,7 +174,7 @@ class TestInvertSCurve:
     ])
     def test_pinned_bits(self, params, grid, n_nodes, bits):
         curve = invert_S_curve(problem(*params), np.linspace(0.0, *grid),
-                               InversionConfig(n_nodes=n_nodes))
+                               n_nodes)
         assert [float.hex(float(v)) for v in curve.values] == bits
 
     def test_large_node_array_keeps_the_row_bits(self):
@@ -220,21 +241,20 @@ class TestInvertSCurve:
     @given(curve_sweep_cases(), st.sampled_from([16, 64, 256]))
     def test_curve_is_the_batch_of_one(self, case, n_nodes):
         prob, grid = case
-        cfg = InversionConfig(n_nodes=n_nodes)
         expected, error = [1.0], None
         for t in grid[1:]:
             try:
-                expected.append(invert_S(prob, float(t), cfg))
+                expected.append(invert_S(prob, float(t), n_nodes))
             except MemdiffError as exc:
                 error = exc
                 break
         if error is None:
-            curve = invert_S_curve(prob, grid, cfg)
+            curve = invert_S_curve(prob, grid, n_nodes)
             assert list(map(float.hex, curve.values.tolist())) == list(
                 map(float.hex, expected))
         else:
             with pytest.raises(MemdiffError) as info:
-                invert_S_curve(prob, grid, cfg)
+                invert_S_curve(prob, grid, n_nodes)
             assert error_record(info.value) == error_record(error)
 
 

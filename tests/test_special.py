@@ -70,6 +70,22 @@ class TestRegLowerIncGamma:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu, xs", [
+        (1e-308, [0.9, 1.0]),
+        (1e-310, [5e-324, 1e-300, 0.5, 1.0]),
+        (5e-324, [5e-324, 1e-300, 0.5, 1.0]),
+    ])
+    def test_series_past_the_float_range_is_exactly_one(self, mu, xs):
+        # The series sums to about e^x / mu, past the largest float here
+        # (at mu = 1e-310, 1 / mu is already inf).  1 - P <= about 745 mu is
+        # far below half an ulp of 1, so P is 1 exactly.
+        assert reg_lower_inc_gamma(mu, np.array(xs)).tolist() == [1.0] * len(xs)
+        assert [reg_lower_inc_gamma(mu, x) for x in xs] == [1.0] * len(xs)
+        with np.errstate(over="ignore"):
+            series = special._inc_gamma_series(mu, np.array(xs))
+        assert series.tolist() == [math.inf] * len(xs)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(0.0, 1.0)

@@ -43,6 +43,40 @@ class TestKernelA:
         with pytest.raises(DomainError):
             kernel_a(KernelParams(1.0, 0.0, 0.5), -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params, t, message", [
+        # alpha * beta^-mu = 1e300 * 1e9^0.999999 overflows, and inf times
+        # P(mu, 0) = 0 would be NaN
+        (KernelParams(1e300, 1e-9, 0.999999), 0.0,
+         "the kernel's factor alpha*beta^-mu is not a finite float for "
+         "alpha=1e+300, beta=1e-09, mu=0.999999"),
+        (KernelParams(-1e300, 1e-9, 0.999999), np.array([0.0, 1.0]),
+         "the kernel's factor alpha*beta^-mu is not a finite float for "
+         "alpha=-1e+300, beta=1e-09, mu=0.999999"),
+        # alpha t^mu / Gamma(mu + 1) overflows past t = 1.79
+        (KernelParams(1e308, 0.0, 1.0), np.array([0.0, 1.0, 2.0, 3.0]),
+         "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
+         "float at t=2.0 for alpha=1e+308, mu=1.0"),
+        (KernelParams(-1e308, 0.0, 1.0), 5.0,
+         "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
+         "float at t=5.0 for alpha=-1e+308, mu=1.0"),
+    ], ids=["factor", "factor-negative", "table", "table-negative"])
+    def test_kernel_past_the_float_range_is_refused(self, params, t, message):
+        with pytest.raises(DomainError) as info:
+            kernel_a(params, t)
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    def test_mu_near_zero_keeps_one_plus_alpha(self):
+        # At mu = 1e-310, P(mu, beta t) = 1 and t^mu = 1 for every t > 0, so
+        # both kernels are exactly 1 + alpha there, and so are the solutions.
+        grid = np.linspace(0.0, 0.5, 3)
+        damped = solve_volterra(problem(1.0, 0.5, 1e-310, -1.0), grid, 0.0025)
+        bare = solve_volterra(problem(1.0, 0.0, 1e-310, -1.0), grid, 0.0025)
+        assert damped.values.tolist() == bare.values.tolist()
+        table = kernel_a(KernelParams(1.0, 0.5, 1e-310), steps(200, 0.0025))
+        assert table.tolist() == [1.0] + [2.0] * 200
+
 
 class TestConfig:
     def test_dt_budget_enforced(self, monkeypatch):
