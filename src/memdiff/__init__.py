@@ -20,8 +20,7 @@ from .inversion import (forward_transform, invert_S, invert_S_curve,
                         invert_transform)
 from .resolvent import (Curve, CurveMethod, mu1_closed_form, series_S,
                         series_curve)
-from .special import (DEFAULT_SERIES_CONTROL, MLParams, SeriesControl,
-                      prabhakar_ml, reg_lower_inc_gamma)
+from .special import prabhakar_ml, reg_lower_inc_gamma
 from .spectral import (SpectralModel, eigen_pairs, field, mode_curve,
                        operator_norm_curve)
 from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
@@ -36,11 +35,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BoundCheck", "ContourError", "ConvergenceError",
-    "Curve", "CurveMethod", "DEFAULT_SERIES_CONTROL", "DecayBound",
+    "Curve", "CurveMethod", "DecayBound",
     "DomainError", "HypothesisError", "KernelParams",
-    "LemmaCheck", "LemmaReport", "MLParams", "MemdiffError", "ModeError",
+    "LemmaCheck", "LemmaReport", "MemdiffError", "ModeError",
     "RateFit", "Regime", "RegimeClass",
-    "ScalarProblem", "SeriesControl", "SingularityError", "SpectralModel",
+    "ScalarProblem", "SingularityError", "SpectralModel",
     "StepSizeError", "TruncationError", "classify",
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",

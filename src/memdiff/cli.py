@@ -31,7 +31,7 @@ from .inversion import invert_S_curve
 # Nothing here calls series_S, fit_decay_rate, verify_bound or
 # lemma_property_suite; the benchmark's tracer hooks them in this module.
 from .resolvent import Curve, CurveMethod, series_S, series_curve  # noqa: F401
-from .special import MLParams, SeriesControl, _prabhakar_full
+from .special import _prabhakar_full
 from .spectral import SpectralModel, operator_norm_curve
 from .stability import (SCHEMA_VERSION, classify, fit_decay_rate,  # noqa: F401
                         lemma_property_suite, theoretical_bound, verify_bound,
@@ -124,8 +124,8 @@ def _problem_from(args) -> ScalarProblem:
 # ---------------------------------------------------------------- eval-ml
 
 def cmd_eval_ml(args) -> int:
-    ctl = SeriesControl(rel_tol=args.rel_tol, max_terms=args.max_terms)
-    value, _, n_terms = _prabhakar_full(MLParams(args.mu, args.k), args.z, ctl)
+    value, _, n_terms = _prabhakar_full(args.mu, args.k, args.z, args.rel_tol,
+                                        args.max_terms)
     print(_fmt(value))
     print(f"terms={n_terms}")
     return EXIT_OK
@@ -141,7 +141,7 @@ def cmd_scalar_curve(args) -> int:
     grid = _grid(args.tmax, args.points)
     method = CurveMethod(args.method)
     if method is CurveMethod.SERIES:
-        curve = series_curve(prob, grid, SeriesControl(rel_tol=args.rel_tol))
+        curve = series_curve(prob, grid, args.rel_tol)
     elif method is CurveMethod.VOLTERRA:
         curve = solve_volterra(prob, grid, args.dt)
     else:

@@ -44,7 +44,8 @@ class ContourError(MemdiffError):
 
 
 class StepSizeError(MemdiffError):
-    """The implicit Volterra step is degenerate; shrink the step."""
+    """The implicit Volterra step factor 1 - rho dt / 2 is not positive;
+    shrink the step."""
 
 
 class AccuracyError(MemdiffError):

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError
 # _prabhakar_scaled is no longer called here; the benchmark's tracer hooks
 # the name in this module, so it stays bound.
-from .special import (DEFAULT_SERIES_CONTROL, SeriesControl,  # noqa: F401
+from .special import (_MAX_TERMS, _REL_TOL, _check_series,  # noqa: F401
                       _prabhakar_pairs, _prabhakar_scaled, _sum_block)
 from .symbols import ScalarProblem
 
@@ -114,7 +114,8 @@ def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
 _K_BLOCK = 32
 
 
-def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
+def _series_grid(prob: ScalarProblem, grid: np.ndarray, rel_tol: float,
+                 max_terms: int
                  ) -> tuple[np.ndarray, dict[int, ConvergenceError]]:
     """S at every time of ``grid`` (finite, >= 0) by the series, in one numpy
     pass per block of outer terms.
@@ -158,11 +159,12 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
         k0 = 0
-        while live.size and k0 < ctl.max_terms:
-            ks = np.arange(k0, min(k0 + _K_BLOCK, ctl.max_terms))
+        while live.size and k0 < max_terms:
+            ks = np.arange(k0, min(k0 + _K_BLOCK, max_terms))
             width = ks.size
             scaled, scaled_est, _, inner_failures = _prabhakar_pairs(
-                p.mu, np.tile(ks, live.size), np.repeat(z, width), ctl)
+                p.mu, np.tile(ks, live.size), np.repeat(z, width), rel_tol,
+                max_terms)
             scaled = scaled.reshape(live.size, width)
             # The prefactor and the error estimate follow their sequential
             # recurrences along each row: cumprod and cumsum multiply and
@@ -179,7 +181,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
                             + abs_terms * 1e-15)
             ests = np.cumsum(steps, axis=1)[:, 1:]
             totals, comps, runs, sums, done = _sum_block(
-                total, comp, small_run, terms, abs_terms, ctl.rel_tol)
+                total, comp, small_run, terms, abs_terms, rel_tol)
             # A row stops at its first column that is done or not finite: a
             # sum that takes a term that is not finite can never stop.
             finite = np.isfinite(terms)
@@ -216,15 +218,15 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, ctl: SeriesControl
                                   runs[:, -1], terms[:, -1]))
     for r, i in enumerate(live.tolist()):
         failures[i] = ConvergenceError(
-            f"resolvent series did not converge within {ctl.max_terms} terms "
+            f"resolvent series did not converge within {max_terms} terms "
             f"at t={times[i]}", reason="max_terms",
-            last_term=float(abs(term[r])), n_terms=ctl.max_terms)
+            last_term=float(abs(term[r])), n_terms=max_terms)
     return values, failures
 
 
 def series_S(prob: ScalarProblem, t: float) -> float:
     """S(t) by the Mittag-Leffler series: the grid engine on the one-point
-    grid [t] under ``DEFAULT_SERIES_CONTROL``; ``series_curve`` takes a ctl.
+    grid [t] under the series' one truncation policy.
 
     Raises :class:`ConvergenceError` when the outer or inner series fails
     its truncation policy, a term overflows, or cancellation has destroyed
@@ -233,22 +235,25 @@ def series_S(prob: ScalarProblem, t: float) -> float:
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     values, failures = _series_grid(prob, np.array([t], dtype=float),
-                                    DEFAULT_SERIES_CONTROL)
+                                    _REL_TOL, _MAX_TERMS)
     if failures:
         raise failures[0]
     return float(values[0])
 
 
 def series_curve(prob: ScalarProblem, times,
-                 ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> Curve:
+                 rel_tol: float = _REL_TOL) -> Curve:
     """Sample S on a grid starting at t = 0.
 
-    Every value equals :func:`series_S` at its time bit for bit.  Every time
-    is evaluated; a failure raises the :class:`ConvergenceError` of the first
-    failing time, prefixed by ``t=...: ``.
+    A term below ``rel_tol`` (in (0, 1), checked before the grid) times the
+    running sum is small.  At the default, every value equals
+    :func:`series_S` at its time bit for bit.  Every time is evaluated; a
+    failure raises the :class:`ConvergenceError` of the first failing time,
+    prefixed by ``t=...: ``.
     """
+    _check_series(rel_tol, _MAX_TERMS)
     grid = _validate_grid(times)
-    values, failures = _series_grid(prob, grid, ctl)
+    values, failures = _series_grid(prob, grid, rel_tol, _MAX_TERMS)
     if failures:
         i = min(failures)
         exc = failures[i]

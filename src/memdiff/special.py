@@ -6,7 +6,9 @@ three-parameter (Prabhakar) Mittag-Leffler family
 which is the kernel of the resolvent series.  Terms are assembled in log
 space from ``lgamma`` values and accumulated with Neumaier-compensated
 summation; truncation stops after ``_CONSECUTIVE_SMALL`` successive terms
-fall below ``rel_tol`` times the running sum.
+fall below ``rel_tol`` (1e-12) times the running sum, and fails past
+``max_terms`` (2000) terms; only ``series_curve``'s ``rel_tol`` and the CLI
+flags ``--rel-tol`` and ``--max-terms`` set another policy.
 
 Supported accuracy domain for the series: 0 <= z <= 100, and z < 0 with
 |z|^{1/(mu+1)} <= 13 (z >= -78.3 at mu = 0.7, -46.9 at mu = 0.5, -28.1 at
@@ -48,16 +50,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "MLParams",
-    "SeriesControl",
-    "DEFAULT_SERIES_CONTROL",
     "reg_lower_inc_gamma",
     "prabhakar_ml",
 ]
@@ -68,43 +66,20 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Index pair of the Mittag-Leffler family: first index mu+1, second and
-    upper index k+1."""
-
-    mu: float
-    k: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.mu <= 1.0):
-            raise DomainError(f"mu must lie in (0, 1], got {self.mu}")
-        if not _is_int(self.k) or self.k < 0:
-            raise DomainError(f"k must be a non-negative integer, got {self.k}")
-        # Past 2**53, k + n + 1.0 in the coefficient walk is not exact.
-        if self.k >= 2 ** 53:
-            raise DomainError(f"k must be < 2**53, got {self.k}")
-
-
 # Successive terms below rel_tol times the running sum that stop a series.
 _CONSECUTIVE_SMALL = 3
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy shared by all series evaluations."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not _is_int(self.max_terms) or self.max_terms < 16:
-            raise DomainError(f"max_terms must be >= 16, got {self.max_terms}")
+# The series' one truncation policy (rel_tol, max_terms).
+_REL_TOL = 1e-12
+_MAX_TERMS = 2000
 
 
-DEFAULT_SERIES_CONTROL = SeriesControl()
+def _check_series(rel_tol: float, max_terms: int) -> None:
+    """Refuse a truncation policy outside (0, 1) x [16, ...)."""
+    if not (0.0 < rel_tol < 1.0):
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    if not _is_int(max_terms) or max_terms < 16:
+        raise DomainError(f"max_terms must be >= 16, got {max_terms}")
 
 
 def reg_lower_inc_gamma(mu: float, x):
@@ -147,7 +122,10 @@ def reg_lower_inc_gamma(mu: float, x):
             series = _inc_gamma_series(mu, flat[low])
         fits = np.isfinite(series)
         out[low] = 1.0
-        out[low[fits]] = series[fits] * front(flat[low[fits]])
+        # P <= 1, but the product can round above it where mu is tiny and
+        # the series near the float range; 1.0 is then the nearest float.
+        out[low[fits]] = np.minimum(series[fits] * front(flat[low[fits]]),
+                                    1.0)
     high = np.flatnonzero(flat >= mu + 1.0)
     if high.size:
         # Where the front factor underflows to 0, P is exactly 1 and the
@@ -314,7 +292,7 @@ def _sum_block(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
 
 
 def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
-                     ctl: SeriesControl):
+                     rel_tol: float, max_terms: int):
     """k! * E(mu, k; z) for every pair (ks[i], zs[i]), in one numpy pass.
 
     Returns ``(values, err_estimates, n_terms, failures)``: three arrays over
@@ -360,7 +338,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
 
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
-        for n in range(ctl.max_terms):
+        for n in range(max_terms):
             log_term = _log_coeffs(mu, kvals, n, upper)[rows] + n * ln_abs_z
             upper.append(math.lgamma(kvals[-1] + n + 2.0))
             del upper[0]
@@ -373,7 +351,7 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
             abs_term = np.abs(term)
             abs_sum += abs_term
             value, done = _sum_step(total, comp, small_run, term, abs_term,
-                                    ctl.rel_tol)
+                                    rel_tol)
             over &= alive
             done &= alive
             stop = done | over
@@ -400,14 +378,14 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
                 alive = np.ones(idx.size, dtype=bool)
     for i in alive.nonzero()[0].tolist():
         fail(i, f"series did not meet its truncation criterion within "
-                f"{ctl.max_terms} terms for z={{z}} (mu={{mu}}, k={{k}})",
+                f"{max_terms} terms for z={{z}} (mu={{mu}}, k={{k}})",
              reason="max_terms", last_term=float(abs_term[i]),
-             n_terms=ctl.max_terms)
+             n_terms=max_terms)
     return values, ests, n_terms, failures
 
 
-def _prabhakar_scaled(mu: float, k: int, z: float, ctl: SeriesControl
-                      ) -> tuple[float, float, int]:
+def _prabhakar_scaled(mu: float, k: int, z: float, rel_tol: float,
+                      max_terms: int) -> tuple[float, float, int]:
     """k! * E(mu, k; z) with an absolute error estimate.
 
     Returns ``(value, err_estimate, n_terms)``.  The k!-scaling keeps the
@@ -416,46 +394,57 @@ def _prabhakar_scaled(mu: float, k: int, z: float, ctl: SeriesControl
     the one-pair call of :func:`_prabhakar_pairs`.
     """
     values, ests, n_terms, failures = _prabhakar_pairs(
-        mu, np.array([k]), np.array([z], dtype=float), ctl)
+        mu, np.array([k]), np.array([z], dtype=float), rel_tol, max_terms)
     if failures:
         raise failures[0]
     return float(values[0]), float(ests[0]), int(n_terms[0])
 
 
-def _prabhakar_full(p: MLParams, z: float, ctl: SeriesControl
-                    ) -> tuple[float, float, int]:
-    """(value, absolute error estimate, terms used) of E(mu, k; z)."""
+def _prabhakar_full(mu: float, k: int, z: float, rel_tol: float,
+                    max_terms: int) -> tuple[float, float, int]:
+    """(value, absolute error estimate, terms used) of E(mu, k; z), after
+    checking the truncation policy, mu, k and z in that order."""
+    _check_series(rel_tol, max_terms)
+    if not (0.0 < mu <= 1.0):
+        raise DomainError(f"mu must lie in (0, 1], got {mu}")
+    if not _is_int(k) or k < 0:
+        raise DomainError(f"k must be a non-negative integer, got {k}")
+    # Past 2**53, k + n + 1.0 in the coefficient walk is not exact.
+    if k >= 2 ** 53:
+        raise DomainError(f"k must be < 2**53, got {k}")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
-    scale = math.exp(-math.lgamma(p.k + 1.0))
-    value, est, n_terms = _prabhakar_scaled(p.mu, p.k, z, ctl)
+    scale = math.exp(-math.lgamma(k + 1.0))
+    value, est, n_terms = _prabhakar_scaled(mu, k, z, rel_tol, max_terms)
     if est > 1e-8 and est > 1e-6 * abs(value):
         raise ConvergenceError(
             f"cancellation exhausted double precision for z={z} "
-            f"(mu={p.mu}, k={p.k}); estimated error {est:.2e} on a value "
+            f"(mu={mu}, k={k}); estimated error {est:.2e} on a value "
             f"of magnitude {abs(value):.2e}",
             reason="precision", last_term=est, n_terms=n_terms)
     return scale * value, scale * est, n_terms
 
 
-def prabhakar_ml(p: MLParams, z: float,
-                 ctl: SeriesControl = DEFAULT_SERIES_CONTROL) -> float:
-    """Evaluate E(mu, k; z) by its defining series.
+def prabhakar_ml(mu: float, k: int, z: float) -> float:
+    """Evaluate E(mu, k; z) (first index mu+1, second and upper index k+1)
+    by its defining series under the one truncation policy.
 
     Parameters
     ----------
-    p:
-        Index pair (mu, k).
+    mu:
+        In (0, 1].
+    k:
+        A non-negative integer below 2**53.
     z:
         Real argument; see the module docstring for the supported domain.
-    ctl:
-        Truncation policy.
 
     Raises
     ------
+    DomainError
+        If mu, k or z lies outside its domain.
     ConvergenceError
-        If the truncation criterion is not met within ``ctl.max_terms``
-        terms, a term overflows, or cancellation has destroyed the
-        requested accuracy (``reason == "precision"``).
+        If the truncation criterion is not met within 2000 terms, a term
+        overflows, or cancellation has destroyed the requested accuracy
+        (``reason == "precision"``).
     """
-    return _prabhakar_full(p, z, ctl)[0]
+    return _prabhakar_full(mu, k, z, _REL_TOL, _MAX_TERMS)[0]

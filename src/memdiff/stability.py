@@ -51,7 +51,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, HypothesisError
 from .inversion import invert_S_curve
 from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
-from .special import DEFAULT_SERIES_CONTROL, _is_int
+from .special import _MAX_TERMS, _REL_TOL, _is_int
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
 from .volterra import _MAX_STEPS, _stepping, solve_volterra
@@ -124,7 +124,8 @@ class BoundCheck:
 
 
 def classify(params: KernelParams, omega: float) -> Regime:
-    """Pure regime predicate; total over valid parameter triples."""
+    """Pure regime predicate over valid parameter triples; an omega or a
+    beta + omega that is not a finite float raises :class:`DomainError`."""
     if not math.isfinite(omega):
         raise DomainError(f"omega must be finite, got {omega}")
     if params.alpha > 0.0:
@@ -134,6 +135,9 @@ def classify(params: KernelParams, omega: float) -> Regime:
     else:
         cls = RegimeClass.UNSUPPORTED
     bpo = params.beta + omega
+    if not math.isfinite(bpo):
+        raise DomainError(f"beta + omega is not a finite float for "
+                          f"beta={params.beta}, omega={omega}")
     return Regime(cls, bpo, decay_applicable=(omega < 0.0 and bpo <= 0.0))
 
 
@@ -357,7 +361,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     _check_suite_args(prob.params, seed)
 
     # Series route, excluding the points where the series honestly fails.
-    series_vals, _ = _series_grid(prob, grid, DEFAULT_SERIES_CONTROL)
+    series_vals, _ = _series_grid(prob, grid, _REL_TOL, _MAX_TERMS)
     ok = np.isfinite(series_vals)
     excluded_fraction = 1.0 - float(np.mean(ok))
 

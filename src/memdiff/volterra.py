@@ -66,7 +66,9 @@ reciprocal of the denominator and fused forms regroup or reround the
 arithmetic and are not used.  The march is causal, so at one step the
 first n + 1 values of a 2n-step solve are the n-step solve bit for bit.  A
 solution that overflows raises :class:`~memdiff.errors.AccuracyError`
-instead of returning ``inf``.
+instead of returning ``inf``.  A step whose implicit factor 1 - rho dt / 2
+is not above 1e-12 raises :class:`~memdiff.errors.StepSizeError`: where it
+is negative (rho dt / 2 > 1) the march cannot follow a growing row.
 """
 
 from __future__ import annotations
@@ -153,11 +155,12 @@ def _solve_grid(params: KernelParams, dt: float, n: int, rhos) -> np.ndarray:
     lowest such row on a tie), with that row's index as its ``row``."""
     rhos = np.asarray(rhos, dtype=float)
     denom = 1.0 - 0.5 * rhos * dt  # a(0) = 1
-    if np.any(np.abs(denom) < 1e-12):
-        worst = float(np.min(np.abs(denom)))
+    # A factor <= 0 cannot follow a growing row: each step divides by it.
+    if np.any(denom <= 1e-12):
+        r = int(np.argmin(denom))
         raise StepSizeError(
-            f"implicit step is degenerate (|1 - rho dt / 2| = {worst:.2e}); "
-            "shrink dt")
+            f"implicit step factor 1 - rho dt / 2 = {float(denom[r]):.3g} is "
+            f"not > 1e-12 at rho={float(rhos[r])}, dt={dt}; shrink dt")
     rho_dt = rhos * dt
     a = kernel_a(params, np.arange(n + 1) * dt)
     # Contiguous, so each history sum below is one BLAS ddot.

@@ -21,7 +21,7 @@ from memdiff import (ConvergenceError, Curve, DecayBound, invert_S_curve,
                      series_curve, solve_volterra,
                      theoretical_bound, verify_bound, field)
 from memdiff.resolvent import _series_grid
-from memdiff.special import DEFAULT_SERIES_CONTROL
+from memdiff.special import _MAX_TERMS, _REL_TOL
 from conftest import problem, sup_deviation
 
 GRID_ALPHA = (0.5, 1.0)
@@ -51,8 +51,8 @@ def test_criterion_1_three_way_agreement():
     worst_excluded = 0.0
     for prob in GOLDEN_GRID:
         # the per-point exclusions of memdiff verify's series leg
-        series_vals, failures = _series_grid(prob, grid,
-                                             DEFAULT_SERIES_CONTROL)
+        series_vals, failures = _series_grid(prob, grid, _REL_TOL,
+                                             _MAX_TERMS)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         ok = np.isfinite(series_vals)
         excluded = 1.0 - float(np.mean(ok))
@@ -94,7 +94,7 @@ def test_criterion_2_mu1_closed_forms():
             beta = rng.uniform(0.0, 2.0)
         rho = -rng.uniform(0.1, 1.0)
         prob = problem(alpha, beta, 1.0, rho)
-        got, failures = _series_grid(prob, tgrid, DEFAULT_SERIES_CONTROL)
+        got, failures = _series_grid(prob, tgrid, _REL_TOL, _MAX_TERMS)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         for i, t in enumerate(tgrid):
             if i in failures:

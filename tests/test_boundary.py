@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from memdiff import (Curve, CurveMethod, DomainError, HypothesisError,
-                     KernelParams, MLParams, ModeError, ScalarProblem,
-                     SeriesControl, SpectralModel, field, invert_transform,
-                     lemma_property_suite, mode_curve, operator_norm_curve,
+                     KernelParams, ModeError, ScalarProblem, SpectralModel,
+                     field, invert_transform, lemma_property_suite,
+                     mode_curve, operator_norm_curve, prabhakar_ml,
                      theoretical_bound, verify_bound, verify_problem)
-from memdiff import stability, volterra
+from memdiff import special, stability, volterra
 from memdiff.cli import main
 from conftest import HUGE_K
 
@@ -37,9 +37,9 @@ def zero_bound():
 
 @pytest.mark.parametrize("call", [
     # Integer parameters: a float or a bool is no integer.
-    lambda: MLParams(0.5, 2.0),
-    lambda: MLParams(0.5, True),
-    lambda: SeriesControl(max_terms=100.5),
+    lambda: prabhakar_ml(0.5, 2.0, 1.0),
+    lambda: prabhakar_ml(0.5, True, 1.0),
+    lambda: special._prabhakar_full(0.5, 0, 1.0, special._REL_TOL, 100.5),
     lambda: SpectralModel(1.0, 2.5),
     lambda: SpectralModel(1.0, True),
     lambda: lemma_property_suite(PARAMS, seed=1.5),
@@ -98,7 +98,7 @@ def test_unknown_spectral_method_is_named(route, method, value):
 @pytest.mark.parametrize("k", HUGE_K)
 def test_ml_index_past_2_53_is_refused(k):
     with pytest.raises(DomainError, match=r"k must be < 2\*\*53"):
-        MLParams(0.5, k)
+        prabhakar_ml(0.5, k, -1.0)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])

@@ -173,6 +173,26 @@ MISSING = object()
     (("verify", *OVERFLOW_TABLE, "-r", "-1", "--tmax", "5", "--points", "3"),
      64, "the kernel's table value alpha t^mu / Gamma(mu+1) is not a finite "
      "float at t=1.8"),
+    # the series' truncation flags, checked before the index pair and z
+    *((("eval-ml", "-m", "0.5", "-k", "0", "-z", "1", "--rel-tol", tol), 64,
+       f"rel_tol must lie in (0, 1), got {tol}\n")
+      for tol in ("0.0", "1.0", "nan", "-0.0")),
+    (("eval-ml", "-m", "0.5", "-k", "0", "-z", "1", "--max-terms", "15"), 64,
+     "max_terms must be >= 16, got 15\n"),
+    (("eval-ml", "-m", "0", "-k", "2", "-z", "1", "--max-terms", "15"), 64,
+     "max_terms must be >= 16, got 15\n"),
+    (("scalar-curve", *GOLDEN, "--points", "3", "--rel-tol", "1"), 64,
+     "rel_tol must lie in (0, 1), got 1.0\n"),
+    # rho dt / 2 > 1: the implicit factor is negative, so the march cannot
+    # follow the growth (S(0.02) is 2.74e43 at rho = 5000 and 4.94e8 at 1000)
+    *((("scalar-curve", "-a", "1", "-b", "0", "-m", "1", "-r", rho,
+        "--tmax", "0.02", "--points", "3", "--method", "volterra"), 2,
+       f"implicit step factor 1 - rho dt / 2 = {factor} is not > 1e-12 at "
+       f"rho={rho}.0, dt=0.0025; shrink dt\n")
+      for rho, factor in [("5000", "-5.25"), ("1000", "-0.25")]),
+    # beta + omega past the float range
+    (("classify", "-a", "1", "-b", "1e308", "-m", "1", "-w", "1e308"), 64,
+     "beta + omega is not a finite float for beta=1e+308, omega=1e+308\n"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9", "verify-seed-negative",
@@ -190,7 +210,11 @@ MISSING = object()
         "laplace-nodes-15-beta-1e308", "scalar-curve-kernel-factor-inf",
         "norm-curve-kernel-factor-inf", "verify-kernel-factor-inf",
         "scalar-curve-kernel-table-inf", "norm-curve-kernel-table-inf",
-        "verify-kernel-table-inf"])
+        "verify-kernel-table-inf", "eval-ml-rel-tol-0", "eval-ml-rel-tol-1",
+        "eval-ml-rel-tol-nan", "eval-ml-rel-tol-minus-0",
+        "eval-ml-max-terms-15", "eval-ml-max-terms-before-mu",
+        "scalar-curve-rel-tol-1", "volterra-rho-dt-6.25",
+        "volterra-rho-dt-1.25", "classify-beta-omega-inf"])
 def test_rejected_input_is_one_line_on_stderr(argv, code, prefix, tmp_path):
     missing = str(tmp_path / "missing" / "out")
     cp = run_cli(*(missing if a is MISSING else a for a in argv))
@@ -308,6 +332,11 @@ class TestEvalML:
         assert cp.returncode == 0
         assert cp.stdout == "0\nterms=7\n"
         assert peak < 10_000_000
+
+    def test_alternating_value_and_term_count(self):
+        cp = run_cli("eval-ml", "-m", "0.5", "-k", "3", "-z", "-20")
+        assert (cp.returncode, cp.stderr) == (0, "")
+        assert cp.stdout == "0.0013881424162087447\nterms=30\n"
 
     def test_usage_error_exits_64(self):
         cp = run_cli("eval-ml", "--mu", "1", "--k", "0")

@@ -5,7 +5,6 @@ numpy alone, so no module imports anything else from outside the standard
 library."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -102,11 +101,10 @@ def test_runtime_imports_are_numpy_only(name):
 # Every public name, so that adding or removing one is an edit here.
 _PUBLIC_NAMES = [
     "AccuracyError", "BoundCheck", "ContourError", "ConvergenceError",
-    "Curve", "CurveMethod", "DEFAULT_SERIES_CONTROL", "DecayBound",
-    "DomainError", "HypothesisError", "KernelParams", "LemmaCheck",
-    "LemmaReport", "MLParams", "MemdiffError", "ModeError", "RateFit",
-    "Regime", "RegimeClass", "ScalarProblem", "SeriesControl",
-    "SingularityError", "SpectralModel", "StepSizeError", "TruncationError",
+    "Curve", "CurveMethod", "DecayBound", "DomainError", "HypothesisError",
+    "KernelParams", "LemmaCheck", "LemmaReport", "MemdiffError", "ModeError",
+    "RateFit", "Regime", "RegimeClass", "ScalarProblem", "SingularityError",
+    "SpectralModel", "StepSizeError", "TruncationError",
     "classify", "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
     "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
@@ -122,15 +120,14 @@ def test_public_name_set_is_pinned():
     assert sorted(memdiff.__all__) == _PUBLIC_NAMES
 
 
-# Every optional parameter of a public function and every field of a public
-# config, by name, so that a new knob has to be added here.
+# Every optional parameter of a public function, by name, so that a new knob
+# has to be added here.
 _PUBLIC_OPTIONS = [
     "invert_S.n_nodes", "invert_S_curve.n_nodes", "invert_transform.n_nodes",
     "invert_transform.contour_scale", "lemma_property_suite.seed",
     "mode_curve.method", "operator_norm_curve.method",
-    "operator_norm_curve.dt", "prabhakar_ml.ctl", "series_curve.ctl",
-    "solve_volterra.dt", "solve_volterra.richardson",
-    "SeriesControl.rel_tol", "SeriesControl.max_terms",
+    "operator_norm_curve.dt", "series_curve.rel_tol", "solve_volterra.dt",
+    "solve_volterra.richardson",
 ]
 
 
@@ -142,6 +139,4 @@ def test_public_option_set_is_pinned():
             options += [f"{name}.{p.name}" for p in
                         inspect.signature(obj).parameters.values()
                         if p.default is not inspect.Parameter.empty]
-    options += [f"SeriesControl.{f.name}"
-                for f in dataclasses.fields(memdiff.SeriesControl)]
     assert sorted(options) == sorted(_PUBLIC_OPTIONS)

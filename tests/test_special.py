@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from memdiff import (ConvergenceError, DomainError, MLParams, SeriesControl,
-                     prabhakar_ml, reg_lower_inc_gamma)
+from memdiff import (ConvergenceError, DomainError, prabhakar_ml,
+                     reg_lower_inc_gamma)
 from memdiff import special
 from conftest import error_record
 
@@ -70,6 +70,16 @@ class TestRegLowerIncGamma:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
+    def test_bounded_for_tiny_mu(self):
+        # Below mu = 1e-12 the series times the front factor rounded above 1
+        # (by up to 9.5e-14 at mu = 3e-308); 1.0 is the nearest float to P.
+        mus = 10.0 ** np.random.default_rng(0).uniform(-308.0, 0.0, 64)
+        xs = np.concatenate([np.linspace(0.0, 2.0, 201),
+                             np.linspace(2.0, 700.0, 50)])
+        for mu in mus.tolist():
+            vals = reg_lower_inc_gamma(mu, xs)
+            assert 0.0 <= vals.min() and vals.max() <= 1.0, mu
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mu, xs", [
         (1e-308, [0.9, 1.0]),
@@ -112,32 +122,32 @@ class TestPrabhakarML:
     def test_value_at_zero_is_inverse_factorial(self):
         for k in (0, 1, 2, 5, 20):
             expected = math.exp(-math.lgamma(k + 1.0))
-            assert prabhakar_ml(MLParams(0.5, k), 0.0) == expected
+            assert prabhakar_ml(0.5, k, 0.0) == expected
 
     def test_frozen_golden(self):
         # 50-digit partial sum of the defining series
-        assert prabhakar_ml(MLParams(0.5, 2), 1.5) == pytest.approx(
+        assert prabhakar_ml(0.5, 2, 1.5) == pytest.approx(
             1.019441336305306801230853, rel=1e-12)
 
     def test_cosh_identity(self):
         # first index 2, second 1: E(z) = cosh(sqrt z) for z >= 0
-        assert prabhakar_ml(MLParams(1.0, 0), 1.0) == pytest.approx(
+        assert prabhakar_ml(1.0, 0, 1.0) == pytest.approx(
             math.cosh(1.0), rel=1e-12)
         for z in np.linspace(0.0, 100.0, 41):
-            got = prabhakar_ml(MLParams(1.0, 0), float(z))
+            got = prabhakar_ml(1.0, 0, float(z))
             assert got == pytest.approx(math.cosh(math.sqrt(z)), abs=1e-10 * math.cosh(math.sqrt(z)))
 
     def test_cos_identity(self):
-        assert prabhakar_ml(MLParams(1.0, 0), -1.0) == pytest.approx(
+        assert prabhakar_ml(1.0, 0, -1.0) == pytest.approx(
             math.cos(1.0), rel=1e-12)
         for z in np.linspace(-100.0, 0.0, 41):
-            got = prabhakar_ml(MLParams(1.0, 0), float(z))
+            got = prabhakar_ml(1.0, 0, float(z))
             assert got == pytest.approx(math.cos(math.sqrt(-z)), abs=1e-10)
 
     @pytest.mark.parametrize("mu,k", [(0.3, 0), (0.5, 1), (0.8, 3), (1.0, 2)])
     def test_monotone_for_nonnegative_argument(self, mu, k):
         zs = np.linspace(0.0, 100.0, 26)
-        vals = [prabhakar_ml(MLParams(mu, k), float(z)) for z in zs]
+        vals = [prabhakar_ml(mu, k, float(z)) for z in zs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("mu,k", [(0.3, 0), (0.5, 2), (1.0, 0)])
@@ -147,7 +157,7 @@ class TestPrabhakarML:
         # for every |z| <= 100; the only admissible failure is the honest
         # precision guard on strongly alternating sums.
         try:
-            prabhakar_ml(MLParams(mu, k), z)
+            prabhakar_ml(mu, k, z)
         except ConvergenceError as exc:
             assert exc.reason == "precision"
             assert z < 0.0
@@ -156,28 +166,27 @@ class TestPrabhakarML:
     def test_stated_domain_for_negative_argument(self, mu):
         # inside |z|^{1/(mu+1)} = 13 the value matches the defining series
         # within its own error estimate; at 16 the precision guard raises
-        p = MLParams(mu, 0)
         z = -(13.0 ** (mu + 1.0))
         value, est, _ = special._prabhakar_full(
-            p, z, special.DEFAULT_SERIES_CONTROL)
-        assert prabhakar_ml(p, z) == value
+            mu, 0, z, special._REL_TOL, special._MAX_TERMS)
+        assert prabhakar_ml(mu, 0, z) == value
         ref = _series_reference(mu, 0, z)
         assert abs(value - ref) <= est
         assert abs(value - ref) <= 1e-7 * abs(ref)
         with pytest.raises(ConvergenceError) as info:
-            prabhakar_ml(p, -(16.0 ** (mu + 1.0)))
+            prabhakar_ml(mu, 0, -(16.0 ** (mu + 1.0)))
         assert info.value.reason == "precision"
 
     def test_term_overflow_raises(self):
         with pytest.raises(ConvergenceError) as info:
-            prabhakar_ml(MLParams(0.9, 0), 1e9)
+            prabhakar_ml(0.9, 0, 1e9)
         assert info.value.reason == "overflow"
 
     def test_overflow_raises_as_the_scalar_walk(self):
         # memdiff eval-ml -m 0.5 -k 0 -z 30000
         with pytest.raises(ConvergenceError) as info:
-            special._prabhakar_full(MLParams(0.5, 0), 30000.0,
-                                    special.DEFAULT_SERIES_CONTROL)
+            special._prabhakar_full(0.5, 0, 30000.0, special._REL_TOL,
+                                    special._MAX_TERMS)
         assert error_record(info.value) == (
             ConvergenceError,
             "series term overflows for z=30000.0 (mu=0.5, k=0)",
@@ -185,15 +194,15 @@ class TestPrabhakarML:
 
     def test_pairs_engine_is_the_one_pair_call(self):
         # converging, alternating, z = 0, overflowing and max_terms pairs
-        ctl = SeriesControl(max_terms=64)
+        policy = (special._REL_TOL, 64)
         ks = np.array([0, 3, 3, 7, 0, 2, 0, 5])
         zs = np.array([1.5, -31.4, 0.0, 60.0, 1e9, -2.0, 80.0, 0.3])
         for mu in (0.05, 0.5, 1.0):
             values, ests, n_terms, failures = special._prabhakar_pairs(
-                mu, ks, zs, ctl)
+                mu, ks, zs, *policy)
             for i, (k, z) in enumerate(zip(ks.tolist(), zs.tolist())):
                 try:
-                    one = special._prabhakar_scaled(mu, k, z, ctl)
+                    one = special._prabhakar_scaled(mu, k, z, *policy)
                 except ConvergenceError as exc:
                     assert error_record(failures[i]) == error_record(exc)
                     continue
@@ -205,28 +214,29 @@ class TestPrabhakarML:
 
     def test_max_terms_exhaustion_carries_last_term(self):
         with pytest.raises(ConvergenceError) as info:
-            prabhakar_ml(MLParams(0.5, 0), 80.0, SeriesControl(max_terms=16))
+            special._prabhakar_full(0.5, 0, 80.0, special._REL_TOL, 16)
         assert info.value.reason == "max_terms"
         assert info.value.last_term is not None and info.value.last_term > 0.0
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
-            MLParams(0.0, 0)
+            prabhakar_ml(0.0, 0, 1.0)
         with pytest.raises(DomainError):
-            MLParams(1.2, 0)
+            prabhakar_ml(1.2, 0, 1.0)
         with pytest.raises(DomainError):
-            MLParams(0.5, -1)
+            prabhakar_ml(0.5, -1, 1.0)
         with pytest.raises(DomainError):
-            prabhakar_ml(MLParams(0.5, 0), math.inf)
+            prabhakar_ml(0.5, 0, math.inf)
 
     def test_control_validation(self):
         with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
+            special._check_series(0.0, special._MAX_TERMS)
         with pytest.raises(DomainError):
-            SeriesControl(max_terms=8)
+            special._check_series(special._REL_TOL, 8)
 
 
-def scalar_walk(mu: float, k: int, z: float, ctl: SeriesControl):
+def scalar_walk(mu: float, k: int, z: float, rel_tol: float,
+                max_terms: int):
     """One pair of the series on Python floats, the walk the pairs engine
     vectorizes: ``math.exp`` per term, Neumaier's branch per addition.
     Returns ``(value, estimate, n_terms)`` or raises its ConvergenceError."""
@@ -236,7 +246,7 @@ def scalar_walk(mu: float, k: int, z: float, ctl: SeriesControl):
     ln_abs_z = math.log(abs(z))
     total = comp = abs_sum = 0.0
     small_run = 0
-    for n in range(ctl.max_terms):
+    for n in range(max_terms):
         log_term = (math.lgamma(k + n + 1.0) - math.lgamma(n + 1.0)
                     - math.lgamma(n * (mu + 1.0) + k + 1.0)) + n * ln_abs_z
         if log_term > 700.0:
@@ -254,13 +264,13 @@ def scalar_walk(mu: float, k: int, z: float, ctl: SeriesControl):
             comp += (term - t) + total
         total = t
         value = total + comp
-        small_run = small_run + 1 if abs(term) < ctl.rel_tol * abs(value) else 0
+        small_run = small_run + 1 if abs(term) < rel_tol * abs(value) else 0
         if small_run >= 3:
             return value, 1e-14 * abs_sum, n + 1
     raise ConvergenceError(
         f"series did not meet its truncation criterion within "
-        f"{ctl.max_terms} terms {where}", reason="max_terms",
-        last_term=abs(term), n_terms=ctl.max_terms)
+        f"{max_terms} terms {where}", reason="max_terms",
+        last_term=abs(term), n_terms=max_terms)
 
 
 class TestPairsAgainstScalarWalk:
@@ -275,13 +285,13 @@ class TestPairsAgainstScalarWalk:
     @pytest.mark.parametrize("max_terms", [64, 2000])
     @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])
     def test_pairs_equal_the_scalar_walk(self, mu, max_terms):
-        ctl = SeriesControl(max_terms=max_terms)
+        policy = (special._REL_TOL, max_terms)
         values, ests, n_terms, failures = special._prabhakar_pairs(
-            mu, self.KS, self.ZS, ctl)
+            mu, self.KS, self.ZS, *policy)
         reasons = set()
         for i, (k, z) in enumerate(zip(self.KS.tolist(), self.ZS.tolist())):
             try:
-                want = scalar_walk(mu, k, z, ctl)
+                want = scalar_walk(mu, k, z, *policy)
             except ConvergenceError as exc:
                 assert error_record(failures[i]) == error_record(exc)
                 assert math.isnan(values[i])
@@ -365,7 +375,7 @@ class TestCoefficientCache:
         # bits of the cached walk this replaced, whose 68 terms crossed one
         # of its 64-coefficient chunks
         value, est, n_terms = special._prabhakar_scaled(
-            0.3, 0, 100.0, special.DEFAULT_SERIES_CONTROL)
+            0.3, 0, 100.0, special._REL_TOL, special._MAX_TERMS)
         assert float.hex(value) == "0x1.6222346e9130ep+49"
         assert float.hex(est) == "0x1.f2661497c174bp+2"
         assert n_terms == 68
@@ -471,7 +481,7 @@ class TestLazyCompaction:
     the one-pair call records it."""
 
     def test_mixed_batch_equals_one_pair_calls(self):
-        ctl = SeriesControl(max_terms=16)
+        policy = (special._REL_TOL, 16)
         # early convergers (small |z|, stopping at different n), overflowing
         # pairs (huge z), and pairs that need more than 16 terms
         converge = [(0, 0.01), (1, -0.02), (2, 0.05), (3, 0.001), (4, 0.1),
@@ -485,11 +495,11 @@ class TestLazyCompaction:
         zs = np.array([z for _, z in pairs])
         for mu in (0.3, 0.5, 1.0):
             values, ests, n_terms, failures = special._prabhakar_pairs(
-                mu, ks, zs, ctl)
+                mu, ks, zs, *policy)
             reasons = []
             for i, (k, z) in enumerate(pairs):
                 try:
-                    one = special._prabhakar_scaled(mu, k, z, ctl)
+                    one = special._prabhakar_scaled(mu, k, z, *policy)
                 except ConvergenceError as exc:
                     assert error_record(failures[i]) == error_record(exc)
                     assert math.isnan(values[i])

@@ -176,6 +176,17 @@ class TestSolveVolterra:
         with pytest.raises(StepSizeError):
             solve_volterra(problem(1.0, 0.0, 0.5, 20.0), steps(10, 0.1))
 
+    @pytest.mark.parametrize("rho, factor", [(5000.0, "-5.25"),
+                                              (1000.0, "-0.25")])
+    def test_negative_step_factor_raises(self, rho, factor):
+        # rho dt / 2 > 1: the march divides by 1 - rho dt / 2 < 0 and cannot
+        # follow the growth (S(0.02) = 2.74e43 at rho = 5000, mu = 1)
+        with pytest.raises(StepSizeError, match=(
+                f"^implicit step factor 1 - rho dt / 2 = {factor} is not "
+                f"> 1e-12 at rho={rho}, dt=0.0025; shrink dt$")):
+            solve_volterra(problem(1.0, 0.0, 1.0, rho), [0.0, 0.01, 0.02],
+                           0.0025)
+
     def test_stiff_mode_remains_stable(self):
         curve = solve_volterra(problem(1.0, 0.5, 0.5, -256.0),
                                steps(400, 0.005))
