@@ -274,8 +274,10 @@ def mu1_closed_form(prob: ScalarProblem, t: float) -> float:
         S(t) = e^{(rho-beta)t/2} (cos(c t) + (rho+beta)/(2c) * sin(c t)),
 
     the real inverse transform of lam/(lam^2 - (rho+beta) lam - alpha rho)
-    shifted by e^{-beta t}.  A discriminant or an exponential that is not a
-    finite float raises :class:`AccuracyError`.
+    shifted by e^{-beta t}.  A discriminant, an exponential or a value that
+    is not a finite float raises :class:`AccuracyError`.  The value is none
+    where an overflowing factor meets an exponential that underflows
+    (inf * 0), or where c t is infinite and cos(c t) is undefined.
     """
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t}")
@@ -289,18 +291,25 @@ def mu1_closed_form(prob: ScalarProblem, t: float) -> float:
                             f"(rho={prob.rho})")
     try:
         if abs(disc) < 1e-12 * max(1.0, s * s):
-            return (1.0 + 0.5 * s * t) * math.exp(
+            value = (1.0 + 0.5 * s * t) * math.exp(
                 0.5 * (prob.rho - p.beta) * t)
-        if disc > 0.0:
+        elif disc > 0.0:
             root = math.sqrt(disc)
             c1 = (s + root) / (2.0 * root)
             c2 = (s - root) / (2.0 * root)
-            return (c1 * math.exp(0.5 * (prob.rho - p.beta + root) * t)
-                    - c2 * math.exp(0.5 * (prob.rho - p.beta - root) * t))
-        c = 0.5 * math.sqrt(-disc)
-        return math.exp(0.5 * (prob.rho - p.beta) * t) * (
-            math.cos(c * t) + s / (2.0 * c) * math.sin(c * t))
+            value = (c1 * math.exp(0.5 * (prob.rho - p.beta + root) * t)
+                     - c2 * math.exp(0.5 * (prob.rho - p.beta - root) * t))
+        else:
+            c = 0.5 * math.sqrt(-disc)
+            value = math.exp(0.5 * (prob.rho - p.beta) * t) * (
+                math.cos(c * t) + s / (2.0 * c) * math.sin(c * t))
     except OverflowError:
         raise AccuracyError(
             f"an exponential of the mu = 1 closed form overflows at t={t} "
             f"(rho={prob.rho})") from None
+    except ValueError:  # cos or sin of an infinite c t
+        value = math.nan
+    if not math.isfinite(value):
+        raise AccuracyError(f"the mu = 1 closed form is not a finite float "
+                            f"at t={t} (rho={prob.rho})")
+    return value

@@ -29,8 +29,13 @@ any of its routes runs.
 One engine, ``_solve_grid``, marches a batch of rhos on one stepping.  The
 kernel does not depend on rho, so its table a(i dt), i = 0..n, is built
 once per solve in one numpy pass (:func:`kernel_a` on the array of nodes)
-and shared by every rho of a batch.  The march then takes one of two
-loops, chosen by the batch size:
+and shared by every rho of a batch.  For beta > 0 that pass is one call of
+:func:`~memdiff.special.reg_lower_inc_gamma` on x = beta t: one front
+factor over every x > 0, then the series below x = mu + 1 and the
+continued fraction from there on.  The fraction has no tiny-denominator
+guards, because its inputs cannot reach them (the proof is in
+``special._inc_gamma_fraction``).  The march then takes one of two loops,
+chosen by the batch size:
 
 - two or more rows advance together, and the history sums of all rows are
   one ``np.vecdot`` per step, so the call overhead is shared by the rows;
@@ -97,13 +102,14 @@ _DOT_CHUNK = 10_000
 
 def kernel_a(params: KernelParams, t):
     """Smoothed kernel a(t) = 1 + (1 * kappa)(t); a(0) = 1 and, for beta > 0,
-    a(t) -> 1 + alpha / beta^mu as t -> infinity.
+    a(t) -> 1 + alpha / beta^mu as t -> infinity.  a(0) is exactly 1.0 in
+    both branches, since 0^mu = 0 and P(mu, 0) = 0.
 
     ``t`` may be an array of nodes, which gives the whole table in one pass
     with every element equal to its one-point value bit for bit.  For that,
     the beta = 0 power is a per-element Python power: numpy's need not round
     like libm's.  The function is array-first: a one-point call runs the
-    array engine on one element and costs 0.1-0.8 ms.
+    array engine on one element and costs 0.01-0.6 ms.
 
     A kernel that leaves the float range raises :class:`DomainError`: for
     beta > 0, a factor beta^-mu or alpha*beta^-mu that is not a finite float;
@@ -144,7 +150,6 @@ def kernel_a(params: KernelParams, t):
         with np.errstate(over="ignore"):
             x = np.minimum(params.beta * ts, np.finfo(float).max)
         a = 1.0 + factor * reg_lower_inc_gamma(params.mu, x)
-    a = np.where(ts == 0.0, 1.0, a)
     return float(a) if ts.ndim == 0 else a
 
 

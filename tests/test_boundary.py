@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memdiff import (Curve, CurveMethod, DomainError, HypothesisError,
-                     KernelParams, ModeError, ScalarProblem, SpectralModel,
-                     field, invert_transform, lemma_property_suite,
-                     mode_curve, operator_norm_curve, prabhakar_ml,
-                     theoretical_bound, verify_bound, verify_problem)
+from memdiff import (AccuracyError, Curve, CurveMethod, DomainError,
+                     HypothesisError, KernelParams, ModeError, ScalarProblem,
+                     SpectralModel, field, invert_transform,
+                     lemma_property_suite, mode_curve, mu1_closed_form,
+                     operator_norm_curve, prabhakar_ml, theoretical_bound,
+                     verify_bound, verify_problem)
 from memdiff import special, stability, volterra
 from memdiff.cli import main
 from conftest import HUGE_K
@@ -160,6 +161,20 @@ def test_mode_curve_passes_a_kernel_domain_error_through():
         mode_curve(MODEL, KernelParams(1.0, 1e-310, 1.0), 1,
                    np.linspace(0.0, 0.5, 11), method="volterra")
     assert not isinstance(info.value, ModeError)
+
+
+@pytest.mark.parametrize("params, rho, t", [
+    # D = 0: 1 + s t / 2 overflows while e^{(rho - beta) t / 2} underflows,
+    # inf * 0 where S(t) is 0
+    ((4.0, 5.0, 1.0), -1.0, 1.7e308),
+    # D < 0: c t = 1e310 is inf, and cos(inf) has no value
+    ((1e300, 0.0, 1.0), -1.0, 1e160),
+], ids=["double-root-inf-times-0", "complex-pair-infinite-phase"])
+def test_mu1_closed_form_that_is_no_finite_float_is_an_accuracy_error(
+        params, rho, t):
+    with pytest.raises(AccuracyError, match="^the mu = 1 closed form is not "
+                                            "a finite float at t="):
+        mu1_closed_form(ScalarProblem(KernelParams(*params), rho), t)
 
 
 def run(argv: str) -> tuple[int, str, str]:

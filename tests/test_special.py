@@ -350,7 +350,7 @@ class TestRegLowerIncGammaArray:
         (special._inc_gamma_fraction, "continued fraction")])
     def test_engine_that_never_converges_raises(self, engine, name):
         # reg_lower_inc_gamma refuses NaN itself (above), so only a direct
-        # call reaches the engines' guards
+        # call reaches the engines' iteration limits
         with pytest.raises(ConvergenceError,
                            match=f"^incomplete gamma {name} did not converge$"):
             engine(0.5, np.array([math.nan]))

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from memdiff import (AccuracyError, DomainError, KernelParams, ScalarProblem,
                      SpectralModel, StepSizeError, kernel_a,
-                     operator_norm_curve, solve_volterra, volterra)
+                     operator_norm_curve, reg_lower_inc_gamma, solve_volterra,
+                     volterra)
 from conftest import problem
 
 
@@ -298,6 +300,65 @@ def one_point_inc_gamma(mu, x):
         delta = d * c
         h *= delta
     return 1.0 - math.exp(log_front) * h
+
+
+@st.composite
+def inc_gamma_points(draw):
+    """(mu, xs): mu in [1e-300, 1], and xs holding 0, points of the series
+    side (0, mu + 1), mu + 1 itself, the float just above it and points of
+    the fraction side up to 1e6."""
+    mu = draw(st.one_of(st.sampled_from([1.0, 1e-300]),
+                        st.floats(1e-300, 1.0)))
+    split = mu + 1.0
+    below = draw(st.lists(st.floats(0.0, split, exclude_min=True,
+                                    exclude_max=True), min_size=1, max_size=4))
+    above = draw(st.lists(st.floats(split, 1e6), min_size=1, max_size=4))
+    return mu, np.array([0.0, *below, split, math.nextafter(split, math.inf),
+                         *above])
+
+
+def lentz_denominators(mu, x):
+    """The scalar Lentz walk of P's upper fraction without its guards:
+    (i, an d + b, c) at each step i until it converges."""
+    b = x + 1.0 - mu
+    c, d = 1e300, 1.0 / b
+    delta, i = 0.0, 0
+    while abs(delta - 1.0) >= 1e-16:
+        i += 1
+        an = -i * (i - mu)
+        b += 2.0
+        denom = an * d + b
+        c = b + an / c
+        yield i, denom, c
+        d = 1.0 / denom
+        delta = d * c
+
+
+class TestIncGammaTable:
+    @settings(max_examples=150, deadline=None)
+    @given(inc_gamma_points())
+    @example((1.0, np.array([0.0, 1e-3, 2.0, 2.0000000000000004, 1e6])))
+    @example((1e-300, np.array([0.0, 5e-324, 0.5, 1.0, 1.0000000000000002,
+                                1e6])))
+    def test_table_equals_the_guarded_one_point_reference(self, case):
+        mu, xs = case
+        got = reg_lower_inc_gamma(mu, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            # P(mu, 0) = 0; and P <= 1, where the reference's product can
+            # round above 1 for mu near 1e-300 and the table returns 1.0
+            want = 0.0 if x == 0.0 else min(one_point_inc_gamma(mu, x), 1.0)
+            assert value.hex() == want.hex(), (mu, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inc_gamma_points())
+    @example((1.0, np.array([2.0, 2.0000000000000004, 1e6])))
+    @example((1e-300, np.array([1.0, 1.0000000000000002, 1e6])))
+    def test_fraction_denominators_stay_above_i_plus_2(self, case):
+        # why the fraction needs no tiny-denominator guards
+        mu, xs = case
+        for x in xs[xs >= mu + 1.0].tolist():
+            for i, denom, c in lentz_denominators(mu, x):
+                assert denom >= i + 2 and c >= i + 2, (mu, x, i)
 
 
 def one_point_kernel(params, t):
