@@ -190,8 +190,7 @@ def cmd_verify(args) -> int:
     if not regime.supported:
         return _refuse(args)
     grid = _grid(args.tmax, args.points)
-    report = verify_problem(prob, grid, args.dt, args.tol, args.omega,
-                            args.seed)
+    report = verify_problem(prob, grid, args.dt, args.tol, args.omega)
     _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report["passes"]["all"] else EXIT_VERIFY_FAILED
 
@@ -264,7 +263,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=0.0025)
     p.add_argument("--tol", type=float, default=1e-4,
                    help="three-way agreement tolerance")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_verify)
 

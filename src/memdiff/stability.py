@@ -1,5 +1,5 @@
 """Regime classification, theoretical decay bounds, empirical rate fitting,
-the sampled inequality suites for the Laplace symbols, and
+the boundary checks of the inequalities for the Laplace symbols, and
 :func:`verify_problem`, which runs them all with the three-route check.
 
 Generation regimes for the kernel triple (alpha, beta, mu):
@@ -16,28 +16,83 @@ resolvent obeys
                           e^{-(beta - (alpha omega)^{1/(mu+1)}) t},
 
 uniformly exponentially stable in the second case iff
-beta^{mu+1} > alpha omega.  The inequality suites sample lambda log-uniformly
-in modulus and uniformly in admissible argument and count violations of
+beta^{mu+1} > alpha omega.  The lemma suite checks
 
-  * |g| <= 1 (alpha > 0)  or  |g| <= beta^mu / (alpha + beta^mu) (alpha < 0),
-  * |arg h(lambda)| <= (1+mu) |arg lambda|          (Re lambda > 0),
-  * Re (lambda+beta)^mu >= (Re lambda + beta)^mu    (Re lambda > 0),
-  * |arg h_tilde(lambda)| <= (1+mu) |arg lambda|    (Re lambda < 0,
-                                                     |lambda^mu| >= 2|alpha|,
-                                                     |lambda| > beta).
+  * g_bound:  |g| <= 1 (alpha > 0) or |g| <= beta^mu / (alpha + beta^mu)
+    (alpha < 0),
+  * arg_h:    |arg h(lambda)| <= (1+mu) |arg lambda|,
+  * re_power: Re (lambda+beta)^mu >= (Re lambda + beta)^mu
 
-The extra |lambda| > beta constraint on the last check is not part of the
-classical hypothesis.  Below beta the bound fails: h_tilde(r) is negative
-on the real segment 0 < r < beta, so the argument-integral representation
-underlying the inequality starts from arg = pi rather than 0 there (e.g.
+on the half annulus Re lambda > 0, 1e-3 <= |lambda| <= 1e3, and
+
+  * arg_h_tilde: |arg h_tilde(lambda)| <= (1+mu) |arg lambda|
+
+on Re lambda <= 0, r_min <= |lambda| <= 1e6 r_min, where
+r_min = max(1e-3, (2|alpha|)^{1/mu}, beta (1 + 1e-9)) holds
+|lambda^mu| >= 2|alpha| and |lambda| > beta.  Each margin (right side minus
+left side) takes its minimum over its region on the region's boundary
+(arg_h_tilde with the proviso below), so the suite evaluates it there.  The
+symbols are real on the real axis, so every margin is even under conjugation
+and the upper half of a region, a quarter annulus, has the same minimum.  Its
+boundary is two rays and two arcs, walked with 2,500 points a side, geometric
+in modulus and uniform in argument; the arcs are evaluated like the rays, no
+minimum is assumed to sit at a corner.
+Why the boundary holds the minimum (maximum principle; Ahlfors, *Complex
+Analysis*, ch. 4):
+
+  * g_bound.  g = w / (w + alpha) with w = (lambda+beta)^mu is analytic on
+    Re lambda > 0: for alpha > 0, w is never a negative real, and for an
+    admissible alpha < 0 the zero lambda = |alpha|^{1/mu} - beta of w + alpha
+    is negative, as beta^mu >= 2|alpha|.  So |g| is subharmonic and takes its
+    maximum on the boundary, where cap - |g| takes its minimum.
+  * arg_h.  arg g = Im log g is harmonic, and |arg g| < pi/2 (for alpha < 0,
+    |w| > beta^mu >= 2|alpha| gives |arg g| < pi/6), so on the quarter
+    0 <= arg lambda <= pi/2 the sum arg h = arg lambda + arg g does not wrap,
+    and the margin is the smaller of the harmonic functions
+    mu arg lambda - arg g and (2+mu) arg lambda + arg g: superharmonic, with
+    its minimum on the boundary.
+  * re_power.  With z = lambda + beta = |z| e^{i phi} the margin is
+    |z|^mu (cos(mu phi) - cos(phi)^mu), and u = ln cos(mu phi) - mu ln cos phi
+    has u(0) = 0 and u' = mu (tan phi - tan(mu phi)) >= 0 on [0, pi/2), so
+    the inequality holds exactly.  The suite checks the scale-free form
+    cos(mu phi) >= cos(phi)^mu on 2,500 points of [0, pi/2), where only
+    rounding can show.
+  * arg_h_tilde.  With theta = arg lambda in [pi/2, pi], the continuous
+    branch A = arg(lambda - beta) + mu theta - arg(lambda^mu + alpha) of
+    arg h_tilde lies in [0, 2 pi], so the margin
+    (1+mu) theta - min(A, 2 pi - A) is the larger of
+
+        m(lambda) = theta - arg(lambda - beta) + arg(lambda^mu + alpha)
+
+    and 2 (1+mu) theta - 2 pi - m, and it is m where A <= pi.
+    m = Im log[lambda (lambda^mu + alpha) / (lambda - beta)] is harmonic on
+    the open quadrant, where lambda^mu + alpha has no zero, so no margin in
+    the region lies below the boundary minimum of m.  Where that minimum has
+    A <= pi it is a margin, and the boundary minimum of the margin is the
+    region's; on every triple measured it lies at the corner lambda = i r_min.
+
+For alpha > 0 the arg_h_tilde derivation goes further.  On the negative real
+axis m = arg(r^mu e^{i mu pi} + alpha) >= 0, and on the imaginary axis
+
+    m(i y) = arg(y^mu e^{i mu pi/2} + alpha) - atan(beta / y)
+
+increases with y, as both terms do.  So the inequality holds on
+{Re lambda <= 0, |lambda| >= r} exactly when r is at least the root r* of
+arg(r^mu e^{i mu pi/2} + alpha) = atan(beta / r), provided the arc
+|lambda| = r holds no lower margin; the suite evaluates the arc.  r* is 0 at
+beta = 0, and 2.774, 1.565 and 0.898 at (0.5, 1, 0.3), (0.5, 1, 0.5) and
+(0.5, 1, 0.8).  r_min is 1 at all three, since beta binds, which is below r*
+at the first two: the suite finds worst margins -0.470 and -0.256 there, at
+i r_min, so verify exits 1 on (0.5, 1, 0.3) at rho = -1 and -2 and on
+(0.5, 1, 0.5) at rho = -2.  Whether the decay proof needs the inequality
+that far in is the paper's question; the checked region and its slack stay.
+
+The |lambda| > beta floor is not part of the classical hypothesis.  Below
+beta the bound fails: h_tilde(r) is negative on the real segment
+0 < r < beta, so the argument-integral representation underlying the
+inequality starts from arg = pi rather than 0 there (e.g.
 (alpha, beta, mu) = (-0.2, 1, 0.5) at lambda ~ 0.43 e^{1.64 i} gives
-|arg h_tilde| = 2.47 > 2.45).  The floor is not enough, though: with
-alpha > 0 and beta the binding floor the bound also fails above it.  At
-seed 0 the suite counts 178 of 10^4 arg_h_tilde violations at (0.5, 1, 0.3),
-worst margin -0.423, and 32 of 10^4 at (0.5, 1, 0.5), worst margin -0.201,
-so verify exits 1 on (0.5, 1, 0.3) at rho = -1 and -2 and on (0.5, 1, 0.5) at
-rho = -2.  The region where the inequality holds is still to be derived
-(ROADMAP item 3); until then the check keeps this floor and its slack.
+|arg h_tilde| = 2.47 > 2.45).
 """
 
 from __future__ import annotations
@@ -51,7 +106,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, HypothesisError
 from .inversion import invert_S_curve
 from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
-from .special import _MAX_TERMS, _REL_TOL, _is_int
+from .special import _MAX_TERMS, _REL_TOL
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
 from .volterra import _MAX_STEPS, _stepping, solve_volterra
@@ -221,15 +276,18 @@ def verify_bound(curve: Curve, bound: DecayBound, doubled: Curve) -> BoundCheck:
 
 @dataclass(frozen=True)
 class LemmaCheck:
+    """One inequality on the boundary of its region: ``violations`` counts
+    the boundary points whose margin is below -slack, and ``where`` is the
+    lambda (the phi of z = lambda + beta for re_power) of the worst one."""
+
     name: str
-    n_samples: int
     violations: int
     worst_margin: float  # most negative is worst; >= -slack means clean
+    where: complex | float
 
 
 @dataclass(frozen=True)
 class LemmaReport:
-    seed: int
     checks: tuple[LemmaCheck, ...]
 
     @property
@@ -240,70 +298,66 @@ class LemmaReport:
         return {c.name: c.violations for c in self.checks}
 
 
-def _sample_right_half(rng: np.random.Generator, n: int) -> np.ndarray:
-    modulus = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    arg = rng.uniform(-np.pi / 2, np.pi / 2, n)
-    return modulus * np.exp(1j * arg)
+_SIDE = 2_500  # boundary points a side: 10,000 symbol values per check
+_GROW = 10.0 ** (6.0 * np.arange(_SIDE) / _SIDE)  # [1, 1e6)
+_TURN = np.pi / 2 * np.arange(_SIDE) / _SIDE  # [0, pi/2)
 
 
-def _sample_left_half(rng: np.random.Generator, n: int, r_min: float) -> np.ndarray:
-    modulus = r_min * 10.0 ** rng.uniform(0.0, 6.0, n)
-    arg = rng.uniform(np.pi / 2, np.pi, n) * rng.choice((-1.0, 1.0), n)
-    return modulus * np.exp(1j * arg)
+def _boundary(r0: float, t0: float) -> np.ndarray:
+    """The boundary of r0 <= |lam| <= 1e6 r0, t0 <= arg lam <= t0 + pi/2,
+    walked once around: the ray at t0 outward, the outer arc, the ray at
+    t0 + pi/2 inward and the inner arc back, ``_SIDE`` points a side
+    (geometric in modulus, uniform in argument), each corner once."""
+    r1, t1 = 1e6 * r0, t0 + np.pi / 2
+    return np.concatenate([r0 * _GROW * np.exp(1j * t0),
+                           r1 * np.exp(1j * (t0 + _TURN)),
+                           r1 / _GROW * np.exp(1j * t1),
+                           r0 * np.exp(1j * (t1 - _TURN))])
 
 
-_LEMMA_SAMPLES = 10_000
-
-
-def _check_suite_args(params: KernelParams, seed: int) -> None:
-    """Refuse a ``seed`` that is no integer >= 0 (DomainError), then an
-    unsupported regime (HypothesisError)."""
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+def _check_supported(params: KernelParams) -> None:
     if not classify(params, 0.0).supported:
         raise HypothesisError(
             f"unsupported regime: alpha={params.alpha}, beta={params.beta}, "
             f"mu={params.mu}")
 
 
-def lemma_property_suite(params: KernelParams, seed: int = 0) -> LemmaReport:
-    """Sampled verification of the four symbol inequalities, on
-    ``_LEMMA_SAMPLES`` = 10,000 lambdas per half plane.
+def lemma_property_suite(params: KernelParams) -> LemmaReport:
+    """The four symbol inequalities on the boundaries of their regions,
+    where each margin takes its minimum (see the module docstring): 10,000
+    points for each symbol check and 2,500 values of phi for re_power.
 
     Violations are data, not errors; a clean run reports zero for every
     check.  A check whose margins are not finite floats (its region lies
     past the float range, as at mu near 0) raises :class:`AccuracyError`
-    naming the check.  The random stream is counter-based (Philox) keyed by
-    ``seed``, so reports are reproducible and the sampling may be split
-    freely.
+    naming the check.  An unsupported regime raises
+    :class:`HypothesisError`.
     """
     alpha, beta, mu = params.alpha, params.beta, params.mu
-    _check_suite_args(params, seed)
+    _check_supported(params)
     g_cap = 1.0 if alpha > 0.0 else beta ** mu / (alpha + beta ** mu)
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    lam = _sample_right_half(rng, _LEMMA_SAMPLES)
 
     checks = []
 
-    def record(name: str, margins: np.ndarray, slack: float) -> None:
+    def record(name: str, points: np.ndarray, margins: np.ndarray,
+               slack: float) -> None:
         # A margin that is not finite is no sample; it never counts as clean.
         invalid = np.count_nonzero(~np.isfinite(margins))
         if invalid:
             raise AccuracyError(f"{name}: {invalid} of {margins.size} sampled "
                                 "margins are not finite")
-        worst = float(np.min(margins))
-        checks.append(LemmaCheck(name, int(margins.size),
-                                 int(np.count_nonzero(margins < -slack)), worst))
+        worst = int(np.argmin(margins))
+        checks.append(LemmaCheck(name, int(np.count_nonzero(margins < -slack)),
+                                 float(margins[worst]), points[worst].item()))
 
-    g = symbol_g(params, lam)
-    record("g_bound", g_cap - np.abs(g), 1e-12)
+    lam = _boundary(1e-3, 0.0)
+    record("g_bound", lam, g_cap - np.abs(symbol_g(params, lam)), 1e-12)
 
     h = symbol_h(params, lam)
-    record("arg_h", (1.0 + mu) * np.abs(np.angle(lam)) - np.abs(np.angle(h)), 1e-10)
+    record("arg_h", lam,
+           (1.0 + mu) * np.abs(np.angle(lam)) - np.abs(np.angle(h)), 1e-10)
 
-    w = (lam + beta) ** mu
-    record("re_power", w.real - (lam.real + beta) ** mu, 1e-12)
+    record("re_power", _TURN, np.cos(mu * _TURN) - np.cos(_TURN) ** mu, 1e-12)
 
     # |lambda^mu| >= 2|alpha| plus the |lambda| > beta floor (see module
     # docstring); both are needed for the shifted-symbol inequality.
@@ -315,12 +369,12 @@ def lemma_property_suite(params: KernelParams, seed: int = 0) -> LemmaReport:
     # Past the float range (mu near 0, say) the moduli or the symbol are not
     # finite, and record refuses the margins that follow from them.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam_left = _sample_left_half(rng, _LEMMA_SAMPLES, r_min)
+        lam_left = _boundary(r_min, np.pi / 2)
         ht = symbol_h_tilde(params, lam_left)
         margins = (1.0 + mu) * np.abs(np.angle(lam_left)) - np.abs(np.angle(ht))
-    record("arg_h_tilde", margins, 1e-10)
+    record("arg_h_tilde", lam_left, margins, 1e-10)
 
-    return LemmaReport(seed, tuple(checks))
+    return LemmaReport(tuple(checks))
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -330,7 +384,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
-                   tol: float, omega: float | None, seed: int) -> dict:
+                   tol: float, omega: float | None) -> dict:
     """The ``memdiff verify`` report on ``grid`` (from t = 0), a JSON-ready
     dict: three-route agreement within ``tol``, the lemma suites and, where
     decay applies for ``omega`` (None means rho), the decay checks.
@@ -339,8 +393,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     grid, a ``tol`` not finite and > 0 and an ``omega`` not finite
     (DomainError); the grid Volterra march's stepping of ``grid`` and ``dt``
     (its checks and messages are :func:`solve_volterra`'s); a long march past
-    the step bound; then the lemma suite's ``seed`` (DomainError) and
-    regime (HypothesisError)."""
+    the step bound; then an unsupported regime (HypothesisError)."""
     grid = _validate_grid(grid)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
@@ -358,7 +411,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     if n_long > _MAX_STEPS:
         raise DomainError(f"the decay check's march to t = {span * horizon} "
                           f"needs {n_long} > {_MAX_STEPS} steps of {long_dt}")
-    _check_suite_args(prob.params, seed)
+    _check_supported(prob.params)
 
     # Series route, excluding the points where the series honestly fails.
     series_vals, _ = _series_grid(prob, grid, _REL_TOL, _MAX_TERMS)
@@ -375,7 +428,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
         "volterra_laplace": _deviation(volterra.values, laplace.values),
     }
 
-    report_lemmas = lemma_property_suite(prob.params, seed=seed)
+    report_lemmas = lemma_property_suite(prob.params)
 
     long = solve_volterra(prob, np.arange(n_long + 1) * long_dt)
     base = Curve(long.times[:n_base + 1], long.values[:n_base + 1],

@@ -13,10 +13,9 @@ import pytest
 
 from memdiff import (AccuracyError, Curve, CurveMethod, DomainError,
                      HypothesisError, KernelParams, ModeError, ScalarProblem,
-                     SpectralModel, field, invert_transform,
-                     lemma_property_suite, mode_curve, mu1_closed_form,
-                     operator_norm_curve, prabhakar_ml, theoretical_bound,
-                     verify_bound, verify_problem)
+                     SpectralModel, field, invert_transform, mode_curve,
+                     mu1_closed_form, operator_norm_curve, prabhakar_ml,
+                     theoretical_bound, verify_bound, verify_problem)
 from memdiff import special, stability, volterra
 from memdiff.cli import main
 from conftest import HUGE_K
@@ -43,8 +42,6 @@ def zero_bound():
     lambda: special._prabhakar_full(0.5, 0, 1.0, special._REL_TOL, 100.5),
     lambda: SpectralModel(1.0, 2.5),
     lambda: SpectralModel(1.0, True),
-    lambda: lemma_property_suite(PARAMS, seed=1.5),
-    lambda: lemma_property_suite(PARAMS, seed=True),
     # Non-finite or empty numeric inputs.
     lambda: synthetic([1.0, np.nan, 0.5, 0.2, 0.1]),
     lambda: synthetic([1.0, np.inf, 0.5, 0.2, 0.1]),
@@ -57,7 +54,7 @@ def zero_bound():
     lambda: invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
                              contour_scale=np.inf),
     lambda: verify_problem(ScalarProblem(PARAMS, -1.0), np.zeros((2, 2)),
-                           0.0025, 1e-4, None, 0),
+                           0.0025, 1e-4, None),
     # A mode index is an integer; a float mode would be a curve of rho =
     # -(n pi / L)^2 for no mode of the model.
     lambda: mode_curve(SpectralModel(math.pi, 3), PARAMS, 1.5,
@@ -71,7 +68,7 @@ def zero_bound():
     lambda: field(MODEL, PARAMS, ["1", "0"], 0.3, [0.2]),
     lambda: field(MODEL, PARAMS, [1.0, 1j], 0.3, [0.2]),
 ], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-modes-float",
-        "n-modes-bool", "seed-float", "seed-bool", "curve-nan", "curve-inf",
+        "n-modes-bool", "curve-nan", "curve-inf",
         "bound-all-zero", "field-x-nan", "field-coeff-nan", "field-coeff-inf",
         "contour-scale-nan", "contour-scale-inf", "verify-grid-2d",
         "mode-index-float", "eigenvalue-float", "eigenvalue-bool",
@@ -109,14 +106,14 @@ def test_verify_problem_refuses_a_bad_tol_before_any_route(tol, monkeypatch):
 
     monkeypatch.setattr(stability, "_series_grid", spy)
     with pytest.raises(DomainError, match="tol must be finite and > 0"):
-        verify_problem(ScalarProblem(PARAMS, -1.0), T, 0.0025, tol, None, 0)
+        verify_problem(ScalarProblem(PARAMS, -1.0), T, 0.0025, tol, None)
 
 
 def test_verify_problem_takes_a_list_grid():
     prob = ScalarProblem(PARAMS, -1.0)
-    assert (verify_problem(prob, [0.0, 0.5, 1.0], 0.0025, 1e-4, None, 0)
+    assert (verify_problem(prob, [0.0, 0.5, 1.0], 0.0025, 1e-4, None)
             == verify_problem(prob, np.linspace(0.0, 1.0, 3), 0.0025, 1e-4,
-                              None, 0))
+                              None))
 
 
 def test_verify_problem_refuses_a_long_march_before_its_grid_is_built(
@@ -130,25 +127,24 @@ def test_verify_problem_refuses_a_long_march_before_its_grid_is_built(
     monkeypatch.setattr(stability, "invert_S_curve", spy)
     monkeypatch.setattr(volterra, "_solve_grid", spy)
     grid32 = np.linspace(0.0, 5.0, 32)
-    for params, grid, dt, seed, error, message in [
+    for params, grid, dt, error, message in [
             # The grid march takes 26,000 steps of 0.1.  The doubled-horizon
             # march would take 1,040,000 steps of 0.005, past the step bound;
             # its 8.3 MB grid is never built.
-            (PARAMS, [0.0, 2600.0], 0.1, 0, DomainError,
+            (PARAMS, [0.0, 2600.0], 0.1, DomainError,
              r"^the decay check's march to t = 5200\.0 needs 1040000 > "
              r"1000000 steps of 0\.005$"),
-            (PARAMS, grid32, 0.0, 0, DomainError, "dt must be finite and > 0"),
+            (PARAMS, grid32, 0.0, DomainError, "dt must be finite and > 0"),
             # Without dt the grid is the stepping; its cells exceed 0.1.
-            (PARAMS, grid32, None, 0, DomainError,
+            (PARAMS, grid32, None, DomainError,
              r"dt must lie in \(0, 0\.1\]"),
-            (PARAMS, grid32, 0.0025, -1, DomainError, "seed must be >= 0"),
-            (KernelParams(-1.0, 0.5, 0.5), grid32, 0.0025, 0, HypothesisError,
+            (KernelParams(-1.0, 0.5, 0.5), grid32, 0.0025, HypothesisError,
              "unsupported regime")]:
         tracemalloc.start()
         try:
             with pytest.raises(error, match=message):
                 verify_problem(ScalarProblem(params, -1.0), grid, dt, 1e-4,
-                               None, seed)
+                               None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

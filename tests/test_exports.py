@@ -124,7 +124,7 @@ def test_public_name_set_is_pinned():
 # has to be added here.
 _PUBLIC_OPTIONS = [
     "invert_S.n_nodes", "invert_S_curve.n_nodes", "invert_transform.n_nodes",
-    "invert_transform.contour_scale", "lemma_property_suite.seed",
+    "invert_transform.contour_scale",
     "mode_curve.method", "operator_norm_curve.method",
     "operator_norm_curve.dt", "series_curve.rel_tol", "solve_volterra.dt",
     "solve_volterra.richardson",
