@@ -74,7 +74,7 @@ def _write(path: str | None, text: str) -> None:
 def _curve_csv(curve: Curve) -> str:
     lines = ["t,value,method"]
     lines.extend(f"{_fmt(t)},{_fmt(v)},{curve.method}"
-                 for t, v in zip(curve.times, curve.values))
+                 for t, v in zip(curve.times.tolist(), curve.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -85,8 +85,8 @@ def _curve_json(curve: Curve) -> str:
         "params": None if prob is None else {**asdict(prob.params),
                                              "rho": prob.rho},
         "method": curve.method,
-        "t": [float(x) for x in curve.times],
-        "value": [float(x) for x in curve.values],
+        "t": curve.times.tolist(),
+        "value": curve.values.tolist(),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

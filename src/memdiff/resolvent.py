@@ -16,8 +16,9 @@ and every caller takes the same path through it: the outer sum runs in
 blocks of ``_K_BLOCK`` terms over all live times, each block one call of the
 inner engine on its (t, k) pairs and one pass of the compensated sum over
 the block (``special._sum_block``), and each time keeps the operation order
-of its own sequential walk over (k, n).  Python loops only over the times
-that stop inside a block.
+of its own sequential walk over (k, n).  The times that stop inside a
+block are recorded by array operations; Python loops only over the times
+that fail, to build their errors.
 
 A time fails at its first outer term that is not finite, since its sum can
 then never stop: with the inner series' error if that failed there (its
@@ -126,7 +127,9 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, rel_tol: float,
     or error does not depend on the other times.  A walk fails at its first
     term that is not finite: with the inner error if the inner series failed
     there, with reason ``"overflow"`` otherwise.  A k past a time's stopping
-    index never raises.
+    index never raises.  The values and the cancellation guard of the times
+    that stop in a block are array operations; Python loops only over the
+    failing times, to build their :class:`ConvergenceError`.
     """
     p = prob.params
     values = np.full(grid.size, np.nan)
@@ -188,7 +191,15 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, rel_tol: float,
             stop = done | ~finite
             stopped = stop.any(axis=1)
             first = stop.argmax(axis=1)
-            for r in stopped.nonzero()[0].tolist():
+            row = np.arange(live.size)
+            s = damp * sums[row, first]
+            est_s = damp * ests[row, first]
+            # Guard thresholds sit ~9x above the calibrated worst true
+            # error, so surviving values carry < 2.5e-9 absolute error.
+            lost = (est_s > 2e-8) & (est_s > 1e-7 * np.abs(s))
+            ok = stopped & finite[row, first] & ~lost
+            values[live[ok]] = s[ok]
+            for r in (stopped & ~ok).nonzero()[0].tolist():
                 j = int(first[r])
                 k = k0 + j
                 i = int(live[r])
@@ -197,19 +208,12 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray, rel_tol: float,
                         ConvergenceError(f"resolvent series term {k} overflows"
                                          f" at t={times[i]}", reason="overflow",
                                          last_term=math.inf, n_terms=k + 1))
-                    continue
-                s_i = float(damp[r] * sums[r, j])
-                est_s = float(damp[r] * ests[r, j])
-                # Guard thresholds sit ~9x above the calibrated worst true
-                # error, so surviving values carry < 2.5e-9 absolute error.
-                if est_s > 2e-8 and est_s > 1e-7 * abs(s_i):
+                else:
                     failures[i] = ConvergenceError(
                         f"cancellation exhausted double precision at "
-                        f"t={times[i]}: estimated error {est_s:.2e} on S "
-                        f"of magnitude {abs(s_i):.2e}",
-                        reason="precision", last_term=est_s, n_terms=k + 1)
-                else:
-                    values[i] = s_i
+                        f"t={times[i]}: estimated error {est_s[r]:.2e} on S "
+                        f"of magnitude {abs(s[r]):.2e}", reason="precision",
+                        last_term=float(est_s[r]), n_terms=k + 1)
             k0 += width
             keep = ~stopped
             live, z, c, damp, prefactor, total, comp, est, small_run, term = (

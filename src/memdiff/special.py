@@ -33,7 +33,10 @@ where some pair stops.  ``_prabhakar_scaled`` is the one-pair call.  Every
 transcendental result carries libm's bits, because numpy's real exp and log
 need not round like libm's: ``exp`` is one numpy call on the whole array
 through the complex exp, which is libm's ``cexp`` (``_exp``), and ``log``
-and ``lgamma`` are ``math`` calls, one element at a time.
+and ``lgamma`` are ``math`` calls.  ``log`` is taken once per run of
+consecutive pairs with equal |z|; the grid engine passes the pairs (t, k) of
+a time together, so they share one ``math.log``, and the sign of z stays
+per pair.
 
 The series keeps no state between calls: a call computes the
 log-coefficients of each n as its walk reaches it, by ``lgamma`` calls, so
@@ -252,10 +255,10 @@ def _sum_step(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
     back = t - total
     comp += (total - (t - back)) + (term - back)
     total[...] = t
-    value = total + comp
+    t += comp  # the value, total + comp, in the sum's own temporary
     small_run += 1.0
-    small_run *= abs_term < rel_tol * np.abs(value)
-    return value, small_run >= _CONSECUTIVE_SMALL
+    small_run *= abs_term < rel_tol * np.abs(t)
+    return t, small_run >= _CONSECUTIVE_SMALL
 
 
 def _sum_block(total: np.ndarray, comp: np.ndarray, small_run: np.ndarray,
@@ -324,7 +327,12 @@ def _prabhakar_pairs(mu: float, ks: np.ndarray, zs: np.ndarray,
     # ln|z|, running sum, compensation, sum of |terms|, run of small terms,
     # sign of z.
     state = np.zeros((6, idx.size))
-    state[0] = _libm(math.log, np.abs(zs[idx]))
+    # One log per run of equal |z|: the grid engine passes the pairs of each
+    # time, which share its z, one after another.  A run search costs less
+    # than np.unique's sort.
+    abs_z = np.abs(zs[idx])
+    new_run = np.concatenate(([True], abs_z[1:] != abs_z[:-1]))
+    state[0] = _libm(math.log, abs_z[new_run])[np.cumsum(new_run) - 1]
     state[5] = np.where(zs[idx] < 0.0, -1.0, 1.0)
     ln_abs_z, total, comp, abs_sum, small_run, sign = state
     # lgamma(k + n + 1) for each k of kvals: coefficient n's first lgamma,

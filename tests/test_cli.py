@@ -401,6 +401,27 @@ class TestScalarCurve:
         assert doc["method"] == "series"
         assert doc["value"][0] == 1.0
 
+    def test_writers_format_edge_floats_as_numpy_scalars(self):
+        """The writers format Python floats from ``tolist``; the bytes are
+        those of formatting each numpy scalar: signed zero, the least
+        subnormal, a tiny normal and integral floats."""
+        times = np.array([-1e-300, -0.0, 5e-324, 1.0, 2.0 ** 60])
+        values = np.array([-0.0, 5e-324, 1e-300, 3.0, -1e22])
+        curve = memdiff.Curve(times, values, "series")
+        csv_rows = "".join(f"{t:.17g},{v:.17g},series\n"
+                           for t, v in zip(curve.times, curve.values))
+        assert cli._curve_csv(curve) == "t,value,method\n" + csv_rows
+        assert csv_rows.splitlines()[1:4] == [
+            "-0,4.9406564584124654e-324,series",
+            "4.9406564584124654e-324,1e-300,series", "1,3,series"]
+        doc = {"schema_version": 1, "params": None, "method": "series",
+               "t": [float(x) for x in curve.times],
+               "value": [float(x) for x in curve.values]}
+        assert cli._curve_json(curve) == json.dumps(
+            doc, sort_keys=True, indent=2) + "\n"
+        assert '"value": [\n    -0.0,\n    5e-324,\n    1e-300,\n    3.0,' \
+            in cli._curve_json(curve)
+
     def test_unsupported_regime_exits_3_unless_forced(self):
         bad = ("--alpha", "-1", "--beta", "1", "--mu", "0.5", "--rho", "-1")
         cp = run_cli("scalar-curve", *bad, "--tmax", "1", "--points", "3")

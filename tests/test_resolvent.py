@@ -8,7 +8,7 @@ from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
                      DomainError, invert_transform,
                      laplace_S_hat, mu1_closed_form, series_S, series_curve,
                      solve_volterra)
-from memdiff import resolvent
+from memdiff import resolvent, special
 from memdiff.resolvent import _series_grid
 from memdiff.special import _MAX_TERMS, _REL_TOL, _prabhakar_scaled
 from conftest import curve_sweep_cases, error_record, problem
@@ -194,6 +194,29 @@ class TestSeriesCurve:
         else:
             curve = series_curve(prob, grid)
             assert curve.values.tobytes() == values.tobytes()
+
+    def test_one_log_per_time_and_block(self, monkeypatch):
+        """Each inner engine call of a 64-point curve takes ln|z| once per
+        distinct |z|: 63 logs for a block of 32 k, not one per (t, k) pair
+        (2,016)."""
+        libm, pairs = special._libm, resolvent._prabhakar_pairs
+        logged, distinct = [], []
+
+        def counting_libm(fn, x):
+            if fn is math.log:
+                logged[-1] += x.size
+            return libm(fn, x)
+
+        def recording_pairs(mu, ks, zs, *policy):
+            distinct.append(np.unique(np.abs(zs[zs != 0.0])).size)
+            logged.append(0)
+            return pairs(mu, ks, zs, *policy)
+
+        monkeypatch.setattr(special, "_libm", counting_libm)
+        monkeypatch.setattr(resolvent, "_prabhakar_pairs", recording_pairs)
+        series_curve(problem(1.0, 0.5, 0.5, -4.0), np.linspace(0.0, 3.0, 64))
+        assert logged == distinct
+        assert distinct[0] == 63 and len(distinct) > 1
 
 
 class TestCurveType:

@@ -193,10 +193,13 @@ class TestPrabhakarML:
             "overflow", 233, "inf")
 
     def test_pairs_engine_is_the_one_pair_call(self):
-        # converging, alternating, z = 0, overflowing and max_terms pairs
+        # converging, alternating, z = 0, overflowing and max_terms pairs;
+        # z and -z at different k, next to each other (one ln|z| for the
+        # run) or apart, each keep their own sign
         policy = (special._REL_TOL, 64)
-        ks = np.array([0, 3, 3, 7, 0, 2, 0, 5])
-        zs = np.array([1.5, -31.4, 0.0, 60.0, 1e9, -2.0, 80.0, 0.3])
+        ks = np.array([0, 3, 3, 7, 0, 2, 4, 0, 5, 6, 1])
+        zs = np.array([1.5, -31.4, 0.0, 60.0, 1e9, -2.0, 2.0, 80.0, 0.3, -0.3,
+                       31.4])
         for mu in (0.05, 0.5, 1.0):
             values, ests, n_terms, failures = special._prabhakar_pairs(
                 mu, ks, zs, *policy)
