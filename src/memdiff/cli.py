@@ -31,7 +31,7 @@ from .inversion import invert_S_curve
 # Nothing here calls series_S, fit_decay_rate, verify_bound or
 # lemma_property_suite; the benchmark's tracer hooks them in this module.
 from .resolvent import Curve, CurveMethod, series_S, series_curve  # noqa: F401
-from .special import _MAX_TERMS, _REL_TOL, _prabhakar_full
+from .special import _prabhakar_full
 from .spectral import SpectralModel, operator_norm_curve
 from .stability import (SCHEMA_VERSION, classify, fit_decay_rate,  # noqa: F401
                         lemma_property_suite, theoretical_bound, verify_bound,
@@ -124,8 +124,7 @@ def _problem_from(args) -> ScalarProblem:
 # ---------------------------------------------------------------- eval-ml
 
 def cmd_eval_ml(args) -> int:
-    value, _, n_terms = _prabhakar_full(args.mu, args.k, args.z, args.rel_tol,
-                                        args.max_terms)
+    value, _, n_terms = _prabhakar_full(args.mu, args.k, args.z)
     print(_fmt(value))
     print(f"terms={n_terms}")
     return EXIT_OK
@@ -141,11 +140,11 @@ def cmd_scalar_curve(args) -> int:
     grid = _grid(args.tmax, args.points)
     method = CurveMethod(args.method)
     if method is CurveMethod.SERIES:
-        curve = series_curve(prob, grid, args.rel_tol)
+        curve = series_curve(prob, grid)
     elif method is CurveMethod.VOLTERRA:
         curve = solve_volterra(prob, grid, args.dt)
     else:
-        curve = invert_S_curve(prob, grid, args.nodes)
+        curve = invert_S_curve(prob, grid)
     return _write_curve(args, curve)
 
 
@@ -214,8 +213,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mu", "-m", type=float, required=True)
     p.add_argument("--k", "-k", type=int, required=True)
     p.add_argument("--z", "-z", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, default=_REL_TOL)
-    p.add_argument("--max-terms", type=int, default=_MAX_TERMS)
     p.set_defaults(func=cmd_eval_ml)
 
     p = sub.add_parser("scalar-curve", help="sample S(t) by one route")
@@ -228,9 +225,6 @@ def build_parser() -> _Parser:
                    default=CurveMethod.SERIES.value)
     p.add_argument("--dt", type=float, default=0.0025,
                    help="Volterra step bound (refined to land on the grid)")
-    p.add_argument("--nodes", type=int, default=64,
-                   help="contour nodes for the laplace route")
-    p.add_argument("--rel-tol", type=float, default=_REL_TOL)
     p.add_argument("--force", action="store_true",
                    help="compute even in an unsupported regime")
     p.add_argument("--out", "-o", default=None)

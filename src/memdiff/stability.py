@@ -106,7 +106,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError, HypothesisError
 from .inversion import invert_S_curve
 from .resolvent import Curve, CurveMethod, _series_grid, _validate_grid
-from .special import _MAX_TERMS, _REL_TOL
 from .symbols import (KernelParams, ScalarProblem, symbol_g, symbol_h,
                       symbol_h_tilde)
 from .volterra import _MAX_STEPS, _stepping, solve_volterra
@@ -414,7 +413,7 @@ def verify_problem(prob: ScalarProblem, grid: np.ndarray, dt: float,
     _check_supported(prob.params)
 
     # Series route, excluding the points where the series honestly fails.
-    series_vals, _ = _series_grid(prob, grid, _REL_TOL, _MAX_TERMS)
+    series_vals, _ = _series_grid(prob, grid)
     ok = np.isfinite(series_vals)
     excluded_fraction = 1.0 - float(np.mean(ok))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from memdiff import KernelParams, ScalarProblem
+from memdiff import KernelParams, ScalarProblem, special
 
 # Indices k from 2**53 on, where k + n + 1.0 in the Mittag-Leffler
 # coefficient walk is no longer exact.
@@ -36,6 +36,16 @@ def sup_deviation(a, b) -> float:
     b = np.asarray(b, dtype=float)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def one_pair(mu: float, k: int, z: float, max_terms: int):
+    """``special._prabhakar_scaled`` at a term budget of ``max_terms``: the
+    pairs engine on the one pair (k, z), raising its error."""
+    values, ests, n_terms, failures = special._prabhakar_pairs(
+        mu, np.array([k]), np.array([z], dtype=float), max_terms)
+    if failures:
+        raise failures[0]
+    return float(values[0]), float(ests[0]), int(n_terms[0])
 
 
 def error_record(exc):

@@ -15,13 +15,13 @@ import pytest
 
 from memdiff import (ConvergenceError, Curve, DecayBound, invert_S_curve,
                      KernelParams, ScalarProblem, SpectralModel,
-                     fit_decay_rate, forward_transform,
-                     invert_S, laplace_S_hat, lemma_property_suite,
+                     fit_decay_rate, forward_transform, invert_S,
+                     invert_transform, laplace_S_hat, lemma_property_suite,
                      mode_curve, mu1_closed_form, operator_norm_curve,
                      series_curve, solve_volterra,
                      theoretical_bound, verify_bound, field)
+from memdiff.inversion import _default_scale
 from memdiff.resolvent import _series_grid
-from memdiff.special import _MAX_TERMS, _REL_TOL
 from conftest import problem, sup_deviation
 
 GRID_ALPHA = (0.5, 1.0)
@@ -51,8 +51,7 @@ def test_criterion_1_three_way_agreement():
     worst_excluded = 0.0
     for prob in GOLDEN_GRID:
         # the per-point exclusions of memdiff verify's series leg
-        series_vals, failures = _series_grid(prob, grid, _REL_TOL,
-                                             _MAX_TERMS)
+        series_vals, failures = _series_grid(prob, grid)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         ok = np.isfinite(series_vals)
         excluded = 1.0 - float(np.mean(ok))
@@ -94,7 +93,7 @@ def test_criterion_2_mu1_closed_forms():
             beta = rng.uniform(0.0, 2.0)
         rho = -rng.uniform(0.1, 1.0)
         prob = problem(alpha, beta, 1.0, rho)
-        got, failures = _series_grid(prob, tgrid, _REL_TOL, _MAX_TERMS)
+        got, failures = _series_grid(prob, tgrid)
         assert all(isinstance(e, ConvergenceError) for e in failures.values())
         for i, t in enumerate(tgrid):
             if i in failures:
@@ -265,7 +264,7 @@ def test_criterion_7_spectral_consistency():
 def test_criterion_8_self_convergence():
     """Volterra Richardson estimates shrink monotonically under dt halving
     on every golden problem; inversion changes < 1e-8 when the node count
-    doubles 32 -> 64."""
+    doubles 32 -> 64 (the route's 64 against the one quadrature at 32)."""
     for prob in GOLDEN_GRID + MU1_NAMED:
         estimates = []
         for dt in (0.02, 0.01, 0.005):
@@ -279,8 +278,10 @@ def test_criterion_8_self_convergence():
     worst = 0.0
     for prob in GOLDEN_GRID + MU1_NAMED:
         for t in tgrid:
-            v32 = invert_S(prob, float(t), n_nodes=32)
-            v64 = invert_S(prob, float(t), n_nodes=64)
+            v32, _ = invert_transform(lambda lam: laplace_S_hat(prob, lam),
+                                      float(t), n_nodes=32,
+                                      contour_scale=_default_scale(prob))
+            v64 = invert_S(prob, float(t))
             worst = max(worst, abs(v32 - v64))
     assert worst < 1e-8
     report("criterion 8",

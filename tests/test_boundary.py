@@ -16,7 +16,7 @@ from memdiff import (AccuracyError, Curve, CurveMethod, DomainError,
                      SpectralModel, field, invert_transform, mode_curve,
                      mu1_closed_form, operator_norm_curve, prabhakar_ml,
                      theoretical_bound, verify_bound, verify_problem)
-from memdiff import special, stability, volterra
+from memdiff import stability, volterra
 from memdiff.cli import main
 from conftest import HUGE_K
 
@@ -39,7 +39,6 @@ def zero_bound():
     # Integer parameters: a float or a bool is no integer.
     lambda: prabhakar_ml(0.5, 2.0, 1.0),
     lambda: prabhakar_ml(0.5, True, 1.0),
-    lambda: special._prabhakar_full(0.5, 0, 1.0, special._REL_TOL, 100.5),
     lambda: SpectralModel(1.0, 2.5),
     lambda: SpectralModel(1.0, True),
     # Non-finite or empty numeric inputs.
@@ -67,7 +66,7 @@ def zero_bound():
     lambda: field(MODEL, PARAMS, [[1.0], [0.0, 1.0]], 0.3, [0.2]),
     lambda: field(MODEL, PARAMS, ["1", "0"], 0.3, [0.2]),
     lambda: field(MODEL, PARAMS, [1.0, 1j], 0.3, [0.2]),
-], ids=["ml-k-float", "ml-k-bool", "max-terms-float", "n-modes-float",
+], ids=["ml-k-float", "ml-k-bool", "n-modes-float",
         "n-modes-bool", "curve-nan", "curve-inf",
         "bound-all-zero", "field-x-nan", "field-coeff-nan", "field-coeff-inf",
         "contour-scale-nan", "contour-scale-inf", "verify-grid-2d",

@@ -4,6 +4,7 @@ entry in an ``__all__`` or a stale import behind.  The runtime depends on
 numpy alone, so no module imports anything else from outside the standard
 library."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -123,10 +124,9 @@ def test_public_name_set_is_pinned():
 # Every optional parameter of a public function, by name, so that a new knob
 # has to be added here.
 _PUBLIC_OPTIONS = [
-    "invert_S.n_nodes", "invert_S_curve.n_nodes", "invert_transform.n_nodes",
-    "invert_transform.contour_scale",
+    "invert_transform.n_nodes", "invert_transform.contour_scale",
     "mode_curve.method", "operator_norm_curve.method",
-    "operator_norm_curve.dt", "series_curve.rel_tol", "solve_volterra.dt",
+    "operator_norm_curve.dt", "solve_volterra.dt",
     "solve_volterra.richardson",
 ]
 
@@ -140,3 +140,33 @@ def test_public_option_set_is_pinned():
                         inspect.signature(obj).parameters.values()
                         if p.default is not inspect.Parameter.empty]
     assert sorted(options) == sorted(_PUBLIC_OPTIONS)
+
+
+# Every option string of each CLI subcommand, but --help, so that a new flag
+# has to be added here.  No flag sets a route's accuracy: the series and
+# contour routes run at one setting each, and only Volterra takes --dt.
+_CLI_OPTIONS = {
+    "eval-ml": ["--mu", "-m", "--k", "-k", "--z", "-z"],
+    "scalar-curve": ["--alpha", "-a", "--beta", "-b", "--mu", "-m", "--rho",
+                     "-r", "--tmax", "--points", "--method", "--dt",
+                     "--force", "--out", "-o", "--format"],
+    "norm-curve": ["--alpha", "-a", "--beta", "-b", "--mu", "-m", "--length",
+                   "--modes", "--tmax", "--points", "--method", "--dt",
+                   "--force", "--out", "-o", "--format"],
+    "verify": ["--alpha", "-a", "--beta", "-b", "--mu", "-m", "--rho", "-r",
+               "--omega", "-w", "--tmax", "--points", "--dt", "--tol",
+               "--out", "-o"],
+    "classify": ["--alpha", "-a", "--beta", "-b", "--mu", "-m", "--omega",
+                 "-w"],
+}
+
+
+def test_cli_option_set_is_pinned():
+    parser = memdiff.cli.build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {name: [option for action in sub._actions
+                      if action.dest != "help"
+                      for option in action.option_strings]
+               for name, sub in commands.choices.items()}
+    assert options == _CLI_OPTIONS

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import memdiff.inversion as inversion_mod
 from memdiff import (AccuracyError, ContourError, Curve, DomainError,
@@ -14,28 +14,16 @@ from conftest import curve_sweep_cases, error_record, problem
 
 class TestConfig:
     def test_validation(self):
-        # the node count is a plain argument, refused by each call itself; a
-        # float such as 64.0 is no count
-        prob = problem(1.0, 0.5, 0.5, -1.0)
+        # the node count of the one quadrature is a plain argument; a float
+        # such as 64.0 is no count.  It is named before a bad time and a
+        # contour_scale that is not finite.
         for n_nodes in (15, 14, 512, 0, -64, 64.0, True):
-            for call in (lambda: invert_S(prob, 1.0, n_nodes),
-                         lambda: invert_S_curve(prob, [0.0, 1.0], n_nodes),
-                         lambda: invert_transform(lambda lam: 1.0 / lam, 1.0,
-                                                  n_nodes=n_nodes)):
+            for t, scale in ((1.0, 1.0), (0.0, math.inf)):
                 with pytest.raises(DomainError) as info:
-                    call()
+                    invert_transform(lambda lam: 1.0 / lam, t,
+                                     n_nodes=n_nodes, contour_scale=scale)
                 assert str(info.value) == (
                     f"n_nodes must be even and in [16, 256], got {n_nodes}")
-
-    @pytest.mark.parametrize("call", [
-        lambda prob: invert_S(prob, 0.0, 15),
-        lambda prob: invert_S_curve(prob, [0.0, 0.0], 15),
-    ], ids=["invert_S", "invert_S_curve"])
-    def test_count_is_refused_before_time_grid_and_radius(self, call):
-        # the radius 2(|rho| + beta) is not a finite float here, and the
-        # time (grid) is bad too: the node count is named first
-        with pytest.raises(DomainError, match="^n_nodes must be even"):
-            call(problem(1.0, 1e308, 0.5, -1.0))
 
     @pytest.mark.parametrize("n_nodes", [16, 18, 64, 256])
     def test_even_counts_in_range_are_taken(self, n_nodes):
@@ -119,11 +107,13 @@ class TestInvertS:
                 mu1_closed_form(complex_pair_problem, t), abs=1e-9)
 
     def test_node_doubling_stability(self):
+        # the route's 64 nodes against the one quadrature at 32
         prob = problem(1.0, 1.0, 0.8, -2.0)
+        scale = inversion_mod._default_scale(prob)
         for t in (0.2, 1.0, 4.8):
-            v32 = invert_S(prob, t, n_nodes=32)
-            v64 = invert_S(prob, t, n_nodes=64)
-            assert abs(v32 - v64) < 1e-8
+            v32, _ = invert_transform(lambda lam: laplace_S_hat(prob, lam), t,
+                                      n_nodes=32, contour_scale=scale)
+            assert abs(v32 - invert_S(prob, t)) < 1e-8
 
     def test_rejects_time_zero(self, double_root_problem):
         with pytest.raises(DomainError):
@@ -147,7 +137,8 @@ class TestInvertSCurve:
         assert curve.method == "laplace"
 
     # Bits of the per-point loop that sampled curves before the (T, N)
-    # contour array.
+    # contour array.  Every row is the one quadrature at its node count; the
+    # 64-node rows are the route's too.
     @pytest.mark.parametrize("params, grid, n_nodes, bits", [
         ((1.0, 1.0, 0.5, -1.0), (5.0, 6), 64, [
             "0x1.0000000000000p+0", "0x1.2ad3ccd840000p-3",
@@ -173,9 +164,15 @@ class TestInvertSCurve:
             "-0x1.e706ed3be8310p-9", "-0x1.c755fe5d766c0p-12"]),
     ])
     def test_pinned_bits(self, params, grid, n_nodes, bits):
-        curve = invert_S_curve(problem(*params), np.linspace(0.0, *grid),
-                               n_nodes)
-        assert [float.hex(float(v)) for v in curve.values] == bits
+        prob = problem(*params)
+        times = np.linspace(0.0, *grid)
+        values, _ = invert_transform(
+            lambda lam: laplace_S_hat(prob, lam), times[1:], n_nodes=n_nodes,
+            contour_scale=inversion_mod._default_scale(prob))
+        assert [float.hex(v) for v in [1.0, *values.tolist()]] == bits
+        if n_nodes == 64:
+            curve = invert_S_curve(prob, times)
+            assert [float.hex(float(v)) for v in curve.values] == bits
 
     def test_large_node_array_keeps_the_row_bits(self):
         # 1,000 rows of 64 nodes: past the 256 KiB at which numpy would
@@ -238,23 +235,23 @@ class TestInvertSCurve:
         assert rows == []
 
     @settings(max_examples=30, deadline=None)
-    @given(curve_sweep_cases(), st.sampled_from([16, 64, 256]))
-    def test_curve_is_the_batch_of_one(self, case, n_nodes):
+    @given(curve_sweep_cases())
+    def test_curve_is_the_batch_of_one(self, case):
         prob, grid = case
         expected, error = [1.0], None
         for t in grid[1:]:
             try:
-                expected.append(invert_S(prob, float(t), n_nodes))
+                expected.append(invert_S(prob, float(t)))
             except MemdiffError as exc:
                 error = exc
                 break
         if error is None:
-            curve = invert_S_curve(prob, grid, n_nodes)
+            curve = invert_S_curve(prob, grid)
             assert list(map(float.hex, curve.values.tolist())) == list(
                 map(float.hex, expected))
         else:
             with pytest.raises(MemdiffError) as info:
-                invert_S_curve(prob, grid, n_nodes)
+                invert_S_curve(prob, grid)
             assert error_record(info.value) == error_record(error)
 
 

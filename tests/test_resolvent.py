@@ -10,8 +10,8 @@ from memdiff import (AccuracyError, ConvergenceError, Curve, CurveMethod,
                      solve_volterra)
 from memdiff import resolvent, special
 from memdiff.resolvent import _series_grid
-from memdiff.special import _MAX_TERMS, _REL_TOL, _prabhakar_scaled
-from conftest import curve_sweep_cases, error_record, problem
+from memdiff.special import _MAX_TERMS, _REL_TOL
+from conftest import curve_sweep_cases, error_record, one_pair, problem
 
 
 class TestSeriesS:
@@ -173,7 +173,7 @@ class TestSeriesCurve:
     @example((problem(1.0, 0.0, 0.5, 300.0), np.linspace(0.0, 4.0, 9)))
     def test_grid_engine_is_the_batch_of_one(self, case):
         prob, grid = case
-        values, failures = _series_grid(prob, grid, _REL_TOL, _MAX_TERMS)
+        values, failures = _series_grid(prob, grid)
         for i, t in enumerate(grid):
             try:
                 expected = series_S(prob, float(t))
@@ -310,7 +310,7 @@ class TestDampingRelation:
             assert lifted == pytest.approx(inverted, abs=1e-6)
 
 
-def sequential_walk(prob, t: float, rel_tol: float, max_terms: int):
+def sequential_walk(prob, t: float, max_terms: int):
     """S(t) by the outer series on Python floats, one k at a time: the walk
     the grid engine runs by blocks.  Returns the value or the
     ConvergenceError of the time, and the k it stopped at (None where no
@@ -329,8 +329,7 @@ def sequential_walk(prob, t: float, rel_tol: float, max_terms: int):
     prefactor, total, comp, est, small_run = 1.0, 0.0, 0.0, 0.0, 0
     for k in range(max_terms):
         try:
-            scaled, scaled_est, _ = _prabhakar_scaled(p.mu, k, z, rel_tol,
-                                                      max_terms)
+            scaled, scaled_est, _ = one_pair(p.mu, k, z, max_terms)
         except ConvergenceError as exc:
             return exc, k
         term = prefactor * scaled
@@ -345,7 +344,7 @@ def sequential_walk(prob, t: float, rel_tol: float, max_terms: int):
         comp += (total - (s - back)) + (term - back)
         total = s
         value = total + comp
-        small_run = small_run + 1 if abs(term) < rel_tol * abs(value) else 0
+        small_run = small_run + 1 if abs(term) < _REL_TOL * abs(value) else 0
         if small_run >= 3:
             s_t, est_s = damp * value, damp * est
             if est_s > 2e-8 and est_s > 1e-7 * abs(s_t):
@@ -367,21 +366,21 @@ class TestSeriesGridAgainstSequentialWalk:
     size, with stops on a block's first and last column and a max_terms
     that is not a multiple of the block size."""
 
-    # (alpha, beta, mu, rho), tmax, (rel_tol, max_terms)
+    # (alpha, beta, mu, rho), tmax, max_terms
     CASES = [
         # converging everywhere, stops spread over k
-        ((1.0, 0.5, 0.5, -1.0), 6.0, (_REL_TOL, _MAX_TERMS)),
+        ((1.0, 0.5, 0.5, -1.0), 6.0, _MAX_TERMS),
         # precision failures past t = 3.2
-        ((1.0, 0.5, 0.5, -4.0), 5.0, (_REL_TOL, _MAX_TERMS)),
+        ((1.0, 0.5, 0.5, -4.0), 5.0, _MAX_TERMS),
         # c^k / k! overflows at k = 3
-        ((1.0, 1e150, 0.5, -1.0), 6.0, (_REL_TOL, _MAX_TERMS)),
+        ((1.0, 1e150, 0.5, -1.0), 6.0, _MAX_TERMS),
         # 40 terms: late times fail on max_terms, inner or outer
-        ((0.7, 0.2, 0.8, -2.0), 12.0, (_REL_TOL, 40)),
-        ((-0.3, 1.5, 0.4, -2.5), 9.0, (1e-6, 40)),
+        ((0.7, 0.2, 0.8, -2.0), 12.0, 40),
+        ((-0.3, 1.5, 0.4, -2.5), 9.0, 40),
         # the inner series fails at k = 0: its terms overflow, or it needs
         # more than 40 terms
-        ((1e300, 0.0, 0.5, 1.0), 2.0, (_REL_TOL, 40)),
-        ((1e6, 0.0, 1.0, 1e3), 2.0, (_REL_TOL, 40)),
+        ((1e300, 0.0, 0.5, 1.0), 2.0, 40),
+        ((1e6, 0.0, 1.0, 1e3), 2.0, 40),
     ]
 
     # Message heads of the failures, outer walk first, then inner series.
@@ -391,11 +390,11 @@ class TestSeriesGridAgainstSequentialWalk:
     @pytest.fixture(scope="class")
     def walks(self):
         out = []
-        for params, tmax, policy in self.CASES:
+        for params, tmax, max_terms in self.CASES:
             prob = problem(*params)
             grid = np.linspace(0.0, tmax, 25)
-            out.append((prob, grid, policy,
-                        [sequential_walk(prob, float(t), *policy)
+            out.append((prob, grid, max_terms,
+                        [sequential_walk(prob, float(t), max_terms)
                          for t in grid]))
         return out
 
@@ -405,9 +404,9 @@ class TestSeriesGridAgainstSequentialWalk:
         monkeypatch.setattr(resolvent, "_K_BLOCK", block)
         ends, reasons, sources = set(), set(), set()
         assert block == 1 or any(max_terms % block
-                                 for _, _, (_, max_terms), _ in walks)
-        for prob, grid, policy, want in walks:
-            values, failures = _series_grid(prob, grid, *policy)
+                                 for _, _, max_terms, _ in walks)
+        for prob, grid, max_terms, want in walks:
+            values, failures = _series_grid(prob, grid, max_terms)
             for i, (w, k) in enumerate(want):
                 if isinstance(w, ConvergenceError):
                     assert error_record(failures[i]) == error_record(w), i

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -7,7 +8,7 @@ import pytest
 from memdiff import (ConvergenceError, DomainError, prabhakar_ml,
                      reg_lower_inc_gamma)
 from memdiff import special
-from conftest import error_record
+from conftest import error_record, one_pair
 
 
 class TestLogGamma:
@@ -167,8 +168,7 @@ class TestPrabhakarML:
         # inside |z|^{1/(mu+1)} = 13 the value matches the defining series
         # within its own error estimate; at 16 the precision guard raises
         z = -(13.0 ** (mu + 1.0))
-        value, est, _ = special._prabhakar_full(
-            mu, 0, z, special._REL_TOL, special._MAX_TERMS)
+        value, est, _ = special._prabhakar_full(mu, 0, z)
         assert prabhakar_ml(mu, 0, z) == value
         ref = _series_reference(mu, 0, z)
         assert abs(value - ref) <= est
@@ -185,27 +185,29 @@ class TestPrabhakarML:
     def test_overflow_raises_as_the_scalar_walk(self):
         # memdiff eval-ml -m 0.5 -k 0 -z 30000
         with pytest.raises(ConvergenceError) as info:
-            special._prabhakar_full(0.5, 0, 30000.0, special._REL_TOL,
-                                    special._MAX_TERMS)
+            special._prabhakar_full(0.5, 0, 30000.0)
         assert error_record(info.value) == (
             ConvergenceError,
             "series term overflows for z=30000.0 (mu=0.5, k=0)",
             "overflow", 233, "inf")
 
     def test_pairs_engine_is_the_one_pair_call(self):
-        # converging, alternating, z = 0, overflowing and max_terms pairs;
-        # z and -z at different k, next to each other (one ln|z| for the
-        # run) or apart, each keep their own sign
-        policy = (special._REL_TOL, 64)
+        # converging, alternating, z = 0, overflowing and (at a 64-term
+        # budget) max_terms pairs; z and -z at different k, next to each
+        # other (one ln|z| for the run) or apart, each keep their own sign.
+        # At the series' own budget the one-pair call is _prabhakar_scaled.
         ks = np.array([0, 3, 3, 7, 0, 2, 4, 0, 5, 6, 1])
         zs = np.array([1.5, -31.4, 0.0, 60.0, 1e9, -2.0, 2.0, 80.0, 0.3, -0.3,
                        31.4])
-        for mu in (0.05, 0.5, 1.0):
+        calls = {64: lambda mu, k, z: one_pair(mu, k, z, 64),
+                 special._MAX_TERMS: special._prabhakar_scaled}
+        for mu, (max_terms, call) in itertools.product((0.05, 0.5, 1.0),
+                                                       calls.items()):
             values, ests, n_terms, failures = special._prabhakar_pairs(
-                mu, ks, zs, *policy)
+                mu, ks, zs, max_terms)
             for i, (k, z) in enumerate(zip(ks.tolist(), zs.tolist())):
                 try:
-                    one = special._prabhakar_scaled(mu, k, z, *policy)
+                    one = call(mu, k, z)
                 except ConvergenceError as exc:
                     assert error_record(failures[i]) == error_record(exc)
                     continue
@@ -217,7 +219,7 @@ class TestPrabhakarML:
 
     def test_max_terms_exhaustion_carries_last_term(self):
         with pytest.raises(ConvergenceError) as info:
-            special._prabhakar_full(0.5, 0, 80.0, special._REL_TOL, 16)
+            one_pair(0.5, 0, 80.0, 16)
         assert info.value.reason == "max_terms"
         assert info.value.last_term is not None and info.value.last_term > 0.0
 
@@ -231,15 +233,8 @@ class TestPrabhakarML:
         with pytest.raises(DomainError):
             prabhakar_ml(0.5, 0, math.inf)
 
-    def test_control_validation(self):
-        with pytest.raises(DomainError):
-            special._check_series(0.0, special._MAX_TERMS)
-        with pytest.raises(DomainError):
-            special._check_series(special._REL_TOL, 8)
 
-
-def scalar_walk(mu: float, k: int, z: float, rel_tol: float,
-                max_terms: int):
+def scalar_walk(mu: float, k: int, z: float, max_terms: int):
     """One pair of the series on Python floats, the walk the pairs engine
     vectorizes: ``math.exp`` per term, Neumaier's branch per addition.
     Returns ``(value, estimate, n_terms)`` or raises its ConvergenceError."""
@@ -267,7 +262,8 @@ def scalar_walk(mu: float, k: int, z: float, rel_tol: float,
             comp += (term - t) + total
         total = t
         value = total + comp
-        small_run = small_run + 1 if abs(term) < rel_tol * abs(value) else 0
+        small_run = (small_run + 1 if abs(term) < special._REL_TOL * abs(value)
+                     else 0)
         if small_run >= 3:
             return value, 1e-14 * abs_sum, n + 1
     raise ConvergenceError(
@@ -288,13 +284,12 @@ class TestPairsAgainstScalarWalk:
     @pytest.mark.parametrize("max_terms", [64, 2000])
     @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0])
     def test_pairs_equal_the_scalar_walk(self, mu, max_terms):
-        policy = (special._REL_TOL, max_terms)
         values, ests, n_terms, failures = special._prabhakar_pairs(
-            mu, self.KS, self.ZS, *policy)
+            mu, self.KS, self.ZS, max_terms)
         reasons = set()
         for i, (k, z) in enumerate(zip(self.KS.tolist(), self.ZS.tolist())):
             try:
-                want = scalar_walk(mu, k, z, *policy)
+                want = scalar_walk(mu, k, z, max_terms)
             except ConvergenceError as exc:
                 assert error_record(failures[i]) == error_record(exc)
                 assert math.isnan(values[i])
@@ -377,8 +372,7 @@ class TestCoefficientCache:
     def test_long_series_keeps_its_bits(self):
         # bits of the cached walk this replaced, whose 68 terms crossed one
         # of its 64-coefficient chunks
-        value, est, n_terms = special._prabhakar_scaled(
-            0.3, 0, 100.0, special._REL_TOL, special._MAX_TERMS)
+        value, est, n_terms = special._prabhakar_scaled(0.3, 0, 100.0)
         assert float.hex(value) == "0x1.6222346e9130ep+49"
         assert float.hex(est) == "0x1.f2661497c174bp+2"
         assert n_terms == 68
@@ -484,7 +478,6 @@ class TestLazyCompaction:
     the one-pair call records it."""
 
     def test_mixed_batch_equals_one_pair_calls(self):
-        policy = (special._REL_TOL, 16)
         # early convergers (small |z|, stopping at different n), overflowing
         # pairs (huge z), and pairs that need more than 16 terms
         converge = [(0, 0.01), (1, -0.02), (2, 0.05), (3, 0.001), (4, 0.1),
@@ -498,11 +491,11 @@ class TestLazyCompaction:
         zs = np.array([z for _, z in pairs])
         for mu in (0.3, 0.5, 1.0):
             values, ests, n_terms, failures = special._prabhakar_pairs(
-                mu, ks, zs, *policy)
+                mu, ks, zs, 16)
             reasons = []
             for i, (k, z) in enumerate(pairs):
                 try:
-                    one = special._prabhakar_scaled(mu, k, z, *policy)
+                    one = one_pair(mu, k, z, 16)
                 except ConvergenceError as exc:
                     assert error_record(failures[i]) == error_record(exc)
                     assert math.isnan(values[i])
