@@ -25,6 +25,20 @@ class TestConfig:
                 assert str(info.value) == (
                     f"n_nodes must be even and in [16, 256], got {n_nodes}")
 
+    @pytest.mark.parametrize("t", [0.0, [0.0, 0.0]],
+                             ids=["invert_S", "invert_S_curve"])
+    def test_count_is_refused_before_time_grid_and_radius(self, t):
+        # invert_S and invert_S_curve reach the count check through
+        # invert_transform, at a scalar time and at a grid.  The contour
+        # scale 2(|rho| + beta) of this problem is not a finite float and the
+        # time (grid) is bad too: the node count is named first
+        prob = problem(1.0, 1e308, 0.5, -1.0)
+        scale = 2.0 * (abs(prob.rho) + prob.params.beta)
+        assert not math.isfinite(scale)
+        with pytest.raises(DomainError, match="^n_nodes must be even"):
+            invert_transform(lambda lam: laplace_S_hat(prob, lam), t,
+                             n_nodes=15, contour_scale=scale)
+
     @pytest.mark.parametrize("n_nodes", [16, 18, 64, 256])
     def test_even_counts_in_range_are_taken(self, n_nodes):
         value, _ = invert_transform(lambda lam: 1.0 / (lam + 1.0), 1.0,
