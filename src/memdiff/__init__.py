@@ -13,9 +13,9 @@ decay-bound verification, and the diagonal Dirichlet-Laplacian realization
 on an interval.
 """
 
-from .errors import (AccuracyError, ContourError, ConvergenceError,
-                     DomainError, HypothesisError, MemdiffError, ModeError,
-                     SingularityError, StepSizeError, TruncationError)
+from .errors import (AccuracyError, ConvergenceError, DomainError,
+                     HypothesisError, MemdiffError, ModeError, StepSizeError,
+                     TruncationError)
 from .inversion import (forward_transform, invert_S, invert_S_curve,
                         invert_transform)
 from .resolvent import (Curve, CurveMethod, mu1_closed_form, series_S,
@@ -27,23 +27,23 @@ from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         RateFit, Regime, RegimeClass, classify,
                         fit_decay_rate, lemma_property_suite,
                         theoretical_bound, verify_bound, verify_problem)
-from .symbols import (KernelParams, ScalarProblem, laplace_S_hat,
-                      laplace_S_hat_den, symbol_g, symbol_h, symbol_h_tilde)
+from .symbols import (KernelParams, ScalarProblem, laplace_S_hat, symbol_g,
+                      symbol_h, symbol_h_tilde)
 from .volterra import kernel_a, solve_volterra
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "BoundCheck", "ContourError", "ConvergenceError",
+    "AccuracyError", "BoundCheck", "ConvergenceError",
     "Curve", "CurveMethod", "DecayBound",
     "DomainError", "HypothesisError", "KernelParams",
     "LemmaCheck", "LemmaReport", "MemdiffError", "ModeError",
     "RateFit", "Regime", "RegimeClass",
-    "ScalarProblem", "SingularityError", "SpectralModel",
+    "ScalarProblem", "SpectralModel",
     "StepSizeError", "TruncationError", "classify",
     "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
     "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
-    "laplace_S_hat", "laplace_S_hat_den", "lemma_property_suite",
+    "laplace_S_hat", "lemma_property_suite",
     "mode_curve", "mu1_closed_form", "operator_norm_curve",
     "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
     "solve_volterra", "symbol_g", "symbol_h", "symbol_h_tilde",

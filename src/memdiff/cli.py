@@ -134,8 +134,8 @@ def cmd_eval_ml(args) -> int:
 
 def cmd_scalar_curve(args) -> int:
     prob = _problem_from(args)
-    regime = classify(prob.params, prob.rho)
-    if not regime.supported and not args.force:
+    # Support rests on the triple alone; the curve commands take no omega.
+    if not classify(prob.params, 0.0).supported and not args.force:
         return _refuse(args)
     grid = _grid(args.tmax, args.points)
     method = CurveMethod(args.method)
@@ -153,8 +153,7 @@ def cmd_scalar_curve(args) -> int:
 def cmd_norm_curve(args) -> int:
     params = KernelParams(args.alpha, args.beta, args.mu)
     model = SpectralModel(args.length, args.modes)
-    regime = classify(params, -model.eigenvalue(1))
-    if not regime.supported and not args.force:
+    if not classify(params, 0.0).supported and not args.force:
         return _refuse(args)
     grid = _grid(args.tmax, args.points)
     return _write_curve(args, operator_norm_curve(

@@ -3,8 +3,7 @@
 Numerical failures are loud and typed: callers can distinguish "you asked
 for something outside the supported domain" (:class:`DomainError`) from
 "the requested accuracy could not be reached" (:class:`ConvergenceError`,
-:class:`AccuracyError`) and from structural problems such as a quadrature
-contour running into a pole (:class:`ContourError`).
+:class:`AccuracyError`).
 """
 
 from __future__ import annotations
@@ -33,14 +32,6 @@ class ConvergenceError(MemdiffError):
         self.reason = reason
         self.last_term = last_term
         self.n_terms = n_terms
-
-
-class SingularityError(MemdiffError):
-    """Evaluation too close to a pole of a Laplace symbol."""
-
-
-class ContourError(MemdiffError):
-    """The inversion contour passes too close to a pole of the transform."""
 
 
 class StepSizeError(MemdiffError):

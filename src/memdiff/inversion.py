@@ -37,7 +37,7 @@ once, array in and array out, on all contour nodes.  A vector of T times
 gives a (T, N) node array, one C-contiguous row per time, and each row sums
 exactly as a one-time call does, so a curve is one quadrature (``_contour``
 also takes one radius per row).  ``invert_S_curve`` applies it to S_hat on
-the whole grid behind a per-row guard that raises :class:`ContourError`
+the whole grid behind a per-row guard that raises :class:`AccuracyError`
 when a node lies on a pole of the denominator; ``invert_S`` is its batch of
 one.  Of the rows that fail the guard or the residue check, the first in
 time order raises, and S_hat is evaluated only on the rows before the first
@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, ContourError, DomainError
+from .errors import AccuracyError, DomainError
 from .resolvent import Curve, CurveMethod, _validate_grid
 from .special import _is_int
 from .symbols import ScalarProblem, laplace_S_hat, laplace_S_hat_den
@@ -129,11 +129,11 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray) -> np.ndarray:
     """S at every time of ``times`` (all > 0) by one contour quadrature over
     the (T, 64) node array, raising the error of the first failing time.
 
-    A time fails when a node lies within _NODE_POLE_TOL of a pole of the
-    denominator (:class:`ContourError`), or when its value is not finite or
-    its imaginary residue is not below IM_RESIDUE_TOL (:class:`AccuracyError`).
-    S_hat is evaluated only on the rows before the first guarded one, so no
-    later time can raise first.
+    A time fails, with :class:`AccuracyError`, when a node lies within
+    _NODE_POLE_TOL of a pole of the denominator, or when its value is not
+    finite or its imaginary residue is not below IM_RESIDUE_TOL.  S_hat is
+    evaluated only on the rows before the first guarded one, so no later
+    time can raise first.
     """
     guarded = len(times)
 
@@ -160,7 +160,7 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray) -> np.ndarray:
                 f"imaginary residue {residues[i]:.2e} at t={times[i]} exceeds "
                 f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")
     if guarded < len(times):
-        raise ContourError(
+        raise AccuracyError(
             f"contour node within {_NODE_POLE_TOL} of a pole at "
             f"t={times[guarded]}")
     return values

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 __all__ = [
     "KernelParams",
@@ -37,7 +37,6 @@ __all__ = [
     "symbol_h",
     "symbol_h_tilde",
     "laplace_S_hat",
-    "laplace_S_hat_den",
 ]
 
 _POLE_TOL = 1e-300
@@ -86,33 +85,32 @@ def _maybe_scalar(value, lam):
     return complex(value) if np.ndim(lam) == 0 else value
 
 
-def _require_right_half_plane(arr, who: str) -> None:
-    if np.any(arr.real <= 0.0):
-        raise DomainError(f"{who} requires Re(lambda) > 0")
-
-
 def _guard_pole(den) -> None:
     if np.any(np.abs(den) < _POLE_TOL):
-        raise SingularityError("denominator vanishes to working precision")
+        raise DomainError("denominator vanishes to working precision")
+
+
+def _g_parts(params: KernelParams, lam, who: str):
+    """``(z, w, den)`` with g = w / den: z = lam as complex,
+    w = (lam+beta)^mu and den = w + alpha, for Re(lam) > 0 off a pole."""
+    z = _as_complex(lam)
+    if np.any(z.real <= 0.0):
+        raise DomainError(f"{who} requires Re(lambda) > 0")
+    w = (z + params.beta) ** params.mu
+    den = w + params.alpha
+    _guard_pole(den)
+    return z, w, den
 
 
 def symbol_g(params: KernelParams, lam):
     """g(lam) for Re(lam) > 0."""
-    z = _as_complex(lam)
-    _require_right_half_plane(z, "symbol_g")
-    w = (z + params.beta) ** params.mu
-    den = w + params.alpha
-    _guard_pole(den)
+    _, w, den = _g_parts(params, lam, "symbol_g")
     return _maybe_scalar(w / den, lam)
 
 
 def symbol_h(params: KernelParams, lam):
     """h(lam) = lam * g(lam) for Re(lam) > 0."""
-    z = _as_complex(lam)
-    _require_right_half_plane(z, "symbol_h")
-    w = (z + params.beta) ** params.mu
-    den = w + params.alpha
-    _guard_pole(den)
+    z, w, den = _g_parts(params, lam, "symbol_h")
     return _maybe_scalar(z * w / den, lam)
 
 
@@ -139,8 +137,8 @@ def _S_hat_parts(prob: ScalarProblem, lam):
 
 
 def laplace_S_hat_den(prob: ScalarProblem, lam):
-    """Denominator of S_hat; exposed so contour quadrature can check pole
-    proximity at its nodes."""
+    """Denominator of S_hat, the helper of the contour route's node-pole
+    guard in :mod:`memdiff.inversion`; not part of the API."""
     return _maybe_scalar(_S_hat_parts(prob, lam)[1], lam)
 
 

@@ -455,6 +455,21 @@ class TestScalarCurve:
         assert cp.stderr == ("memdiff: contour sum is not finite at t=1.0; "
                              "the inversion is not trustworthy\n")
 
+    @pytest.mark.parametrize("method, message", [
+        ("series", "t=2.5: series term overflows for z=inf (mu=0.5, k=0)"),
+        ("volterra", "implicit step factor 1 - rho dt / 2 = -1.25e+305 is "
+                     "not > 1e-12 at rho=1e+308, dt=0.0025; shrink dt"),
+        ("laplace", "the contour radius 2(|rho| + beta) is not a finite "
+                    "float for rho=1e+308, beta=1e+308"),
+    ], ids=["series", "volterra", "laplace"])
+    def test_regime_gate_reads_the_triple_alone(self, method, message):
+        # beta + rho leaves the float range, but the command takes no omega:
+        # the supported triple passes the gate and its route fails
+        cp = run_cli("scalar-curve", "-a", "1", "-b", "1e308", "-m", "0.5",
+                     "-r", "1e308", "--points", "3", "--method", method)
+        assert (cp.returncode, cp.stdout, cp.stderr) == (
+            2, "", f"memdiff: {message}\n")
+
 
 class TestNormCurve:
     def test_csv_starts_at_one(self, tmp_path):

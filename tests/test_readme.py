@@ -17,10 +17,10 @@ from test_cli import run_cli
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
-def _expression_values() -> dict[str, tuple[object, str]]:
-    """{expression source: (its value, the comment on its line, or "")} over
-    the expression lines of the README's python blocks, each block run in
-    order in one namespace."""
+def _run_blocks() -> tuple[dict[str, tuple[object, str]], dict]:
+    """The README's python blocks, each run in order in one namespace:
+    {expression source: (its value, the comment on its line, or "")} over
+    their expression lines, and the namespace they leave."""
     namespace: dict = {}
     found = {}
     for _, body in re.findall(r"^( *)```python\n(.*?)^\1```", README,
@@ -35,12 +35,17 @@ def _expression_values() -> dict[str, tuple[object, str]]:
             value = eval(code, namespace)
             comment = lines[stmt.end_lineno - 1].partition("#")[2]
             found[code] = (value, comment.strip())
-    return found
+    return found, namespace
 
 
 @pytest.fixture(scope="module")
-def readme_values():
-    return _expression_values()
+def readme_run():
+    return _run_blocks()
+
+
+@pytest.fixture(scope="module")
+def readme_values(readme_run):
+    return readme_run[0]
 
 
 def test_eval_ml_prints_the_stated_value():
@@ -88,3 +93,15 @@ def test_decay_rate_is_the_stated_expression(readme_values):
 def test_verify_example_passes_as_stated(readme_values):
     value, comment = readme_values['report["passes"]["all"]']
     assert str(value) == comment.split(",")[0] == "True"
+
+
+def test_verify_report_keys_are_the_stated_ones(readme_run):
+    # `key` or `key{subkey, ...}` in the README's list, in the report's order
+    stated = re.search(r"`verify` writes a JSON report \((.*?)\) and\s",
+                       README, re.S).group(1)
+    entries = re.findall(r"`(\w+)(?:\{([^}]*)\})?`", stated)
+    report = readme_run[1]["report"]
+    assert [key for key, _ in entries] == list(report)
+    for key, subkeys in entries:
+        if subkeys:
+            assert re.split(r",\s+", subkeys) == list(report[key])
