@@ -13,12 +13,16 @@ precision, which is detected and raised rather than returned.
 
 One grid engine (``_series_grid``) evaluates every time of a grid at once,
 and every caller takes the same path through it: the outer sum runs in
-blocks of ``_K_BLOCK`` terms over all live times, each block one call of the
-inner engine on its (t, k) pairs and one pass of the compensated sum over
-the block (``special._sum_block``), and each time keeps the operation order
-of its own sequential walk over (k, n).  The times that stop inside a
-block are recorded by array operations; Python loops only over the times
-that fail, to build their errors.
+passes over all live times, each pass one call of the inner engine on their
+(t, k) pairs and one pass of the compensated sum (``special._sum_block``).
+A time's first pass takes the terms that the Poisson shape of its factors
+|c|^k / k!, c = (rho+beta) t, says it needs (``_first_width``, at most
+``_K_BLOCK``); a time that has not stopped goes on from its own next k in
+passes of ``_K_BLOCK``.  Each time keeps the operation order of its own
+sequential walk over (k, n), so the widths choose only which pairs are
+evaluated.  The times that stop inside a pass are recorded by array
+operations; Python loops only over the times that fail, to build their
+errors.
 
 A time fails at its first outer term that is not finite, since its sum can
 then never stop: with the inner series' error if that failed there (its
@@ -42,8 +46,8 @@ import numpy as np
 from .errors import AccuracyError, ConvergenceError, DomainError
 # _prabhakar_scaled is no longer called here; the benchmark's tracer hooks
 # the name in this module, so it stays bound.
-from .special import (_MAX_TERMS, _REL_TOL, _prabhakar_pairs,  # noqa: F401
-                      _prabhakar_scaled, _sum_block)
+from .special import (_CONSECUTIVE_SMALL, _MAX_TERMS, _REL_TOL,  # noqa: F401
+                      _prabhakar_pairs, _prabhakar_scaled, _sum_block)
 from .symbols import ScalarProblem
 
 __all__ = [
@@ -106,32 +110,58 @@ def _validate_grid(times, from_zero: bool = True) -> np.ndarray:
     return grid
 
 
-# Outer terms k per pass over the grid.  A pass is one call of the inner
-# engine on every (live time, k) pair of the block; a time that stops inside
-# a block wastes at most _K_BLOCK - 1 inner evaluations.  Over the passing
-# series requests of three curve-sweep rounds (2-CPU host, in-process,
-# interleaved), 32 took 0.92x the time of 16, 0.88x that of 24 and 0.96x
-# that of 48.
-_K_BLOCK = 32
+# Outer terms k of a time's later passes, and the most its first pass takes.
+# A pass is one call of the inner engine, and a second pass costs a call, so
+# the cap lets a time that needs 33-40 terms finish in one pass.  Summing each
+# request's best of 15 calls over the 36 passing series requests of
+# curve-sweep seeds 91, 13 and 44 (2-CPU host, in-process, interleaved), a cap
+# of 40 took 54.3-54.8 ms, 48 took 53.8-54.0 ms and 64 took 54.9-55.1 ms (on
+# seeds 1, 21 and 7: 55.3, 55.8 and 56.1 ms); 32 took 66.0 ms.
+_K_BLOCK = 48
+
+
+def _first_width(c: np.ndarray) -> np.ndarray:
+    """Outer terms of each time's first pass, from c = (rho+beta) t: the
+    count of k < ``_K_BLOCK`` whose factor |c|^k / k! is at least
+    ``_REL_TOL`` times the largest of them, plus the ``_CONSECUTIVE_SMALL``
+    terms that stop a sum and a margin of 4, at most ``_K_BLOCK``.
+
+    The factors have a Poisson shape in k, so the width follows the time's
+    stopping index: of the 2,268 times of the series requests of
+    curve-sweep seeds 91, 13 and 44, all but one stop in their first pass,
+    with 3 (at most 6) of its terms to spare.  The width chooses only
+    which pairs a pass evaluates, never a value or an error.  Products and
+    quotients only: no transcendental.  Where the factors overflow, as at
+    c = 5e299, the width is still finite.
+    """
+    steps = np.empty((c.size, _K_BLOCK))
+    steps[:, 0] = 1.0
+    steps[:, 1:] = np.abs(c)[:, None] / np.arange(1.0, _K_BLOCK)
+    factors = np.cumprod(steps, axis=1)
+    count = np.count_nonzero(
+        factors >= _REL_TOL * factors.max(axis=1, keepdims=True), axis=1)
+    return np.minimum(count + _CONSECUTIVE_SMALL + 4, _K_BLOCK)
 
 
 def _series_grid(prob: ScalarProblem, grid: np.ndarray,
                  max_terms: int = _MAX_TERMS
                  ) -> tuple[np.ndarray, dict[int, ConvergenceError]]:
-    """S at every time of ``grid`` (finite, >= 0) by the series, in one numpy
-    pass per block of outer terms.
+    """S at every time of ``grid`` (finite, >= 0) by the series, one numpy
+    pass of the inner engine per pass over the live times.
 
     Returns the values, NaN where a time failed, and {grid index:
     ConvergenceError} of the failed times.  Every time is evaluated; each
     runs the arithmetic of its own sequential walk over (k, n), so its value
-    or error does not depend on the other times.  A walk fails at its first
-    term that is not finite: with the inner error if the inner series failed
-    there, with reason ``"overflow"`` otherwise.  A k past a time's stopping
-    index never raises.  The values and the cancellation guard of the times
-    that stop in a block are array operations; Python loops only over the
-    failing times, to build their :class:`ConvergenceError`.  ``max_terms``
-    is the term budget of the outer and inner walks; only tests pass a
-    smaller one, to reach its failure in a few steps.
+    or error does not depend on the other times.  A time's first pass takes
+    :func:`_first_width` terms, each later one ``_K_BLOCK``, from the time's
+    own next k.  A walk fails at its first term that is not finite: with the
+    inner error if the inner series failed there, with reason ``"overflow"``
+    otherwise.  A k past a time's stopping index never raises.  The values
+    and the cancellation guard of the times that stop in a pass are array
+    operations; Python loops only over the failing times, to build their
+    :class:`ConvergenceError`.  ``max_terms`` is the term budget of the
+    outer and inner walks; only tests pass a smaller one, to reach its
+    failure in a few steps.
     """
     p = prob.params
     values = np.full(grid.size, np.nan)
@@ -155,6 +185,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray,
         damps.append(math.exp(-p.beta * t))
     live = np.array(live, dtype=np.int64)
     z, c, damp = np.array(zs), np.array(cs), np.array(damps)
+    k_next = np.zeros(live.size, dtype=np.int64)
     prefactor = np.ones(live.size)  # c^k / k!
     total = np.zeros(live.size)
     comp = np.zeros(live.size)
@@ -163,25 +194,29 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray,
 
     # Python float arithmetic never warns; numpy's must not either.
     with np.errstate(all="ignore"):
-        k0 = 0
-        while live.size and k0 < max_terms:
-            ks = np.arange(k0, min(k0 + _K_BLOCK, max_terms))
-            width = ks.size
-            scaled, scaled_est, _, inner_failures = _prabhakar_pairs(
-                p.mu, np.tile(ks, live.size), np.repeat(z, width), max_terms)
-            scaled = scaled.reshape(live.size, width)
+        width = np.minimum(_first_width(c), max_terms)
+        while live.size:
+            # Row r takes k_next[r] + j for j < width[r]; the other columns
+            # follow all of its own, so its recurrences never read them.
+            cols = np.arange(width.max())
+            ks = k_next[:, None] + cols
+            valid = cols < width[:, None]
+            scaled = np.zeros(ks.shape)
+            scaled_est = np.zeros(ks.shape)
+            scaled[valid], scaled_est[valid], _, inner_failures = (
+                _prabhakar_pairs(p.mu, ks[valid], np.repeat(z, width),
+                                 max_terms))
             # The prefactor and the error estimate follow their sequential
             # recurrences along each row: cumprod and cumsum multiply and
             # add in k order.
-            steps = np.empty((live.size, width + 1))
+            steps = np.empty((live.size, cols.size + 1))
             steps[:, 0] = prefactor
             steps[:, 1:] = c[:, None] / (ks + 1.0)
             prefactors = np.cumprod(steps, axis=1)
-            terms = prefactors[:, :width] * scaled
+            terms = prefactors[:, :-1] * scaled
             steps[:, 0] = est
             abs_terms = np.abs(terms)
-            steps[:, 1:] = (np.abs(prefactors[:, :width])
-                            * scaled_est.reshape(scaled.shape)
+            steps[:, 1:] = (np.abs(prefactors[:, :-1]) * scaled_est
                             + abs_terms * 1e-15)
             ests = np.cumsum(steps, axis=1)[:, 1:]
             totals, comps, runs, sums, done = _sum_block(
@@ -189,7 +224,7 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray,
             # A row stops at its first column that is done or not finite: a
             # sum that takes a term that is not finite can never stop.
             finite = np.isfinite(terms)
-            stop = done | ~finite
+            stop = (done | ~finite) & valid
             stopped = stop.any(axis=1)
             first = stop.argmax(axis=1)
             row = np.arange(live.size)
@@ -200,12 +235,14 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray,
             lost = (est_s > 2e-8) & (est_s > 1e-7 * np.abs(s))
             ok = stopped & finite[row, first] & ~lost
             values[live[ok]] = s[ok]
+            # Row r's pairs start at pair offset[r] of the inner call.
+            offset = np.cumsum(width) - width
             for r in (stopped & ~ok).nonzero()[0].tolist():
                 j = int(first[r])
-                k = k0 + j
+                k = int(k_next[r]) + j
                 i = int(live[r])
                 if not finite[r, j]:
-                    failures[i] = inner_failures.get(r * width + j) or (
+                    failures[i] = inner_failures.get(int(offset[r]) + j) or (
                         ConvergenceError(f"resolvent series term {k} overflows"
                                          f" at t={times[i]}", reason="overflow",
                                          last_term=math.inf, n_terms=k + 1))
@@ -215,17 +252,24 @@ def _series_grid(prob: ScalarProblem, grid: np.ndarray,
                         f"t={times[i]}: estimated error {est_s[r]:.2e} on S "
                         f"of magnitude {abs(s[r]):.2e}", reason="precision",
                         last_term=float(est_s[r]), n_terms=k + 1)
-            k0 += width
-            keep = ~stopped
-            live, z, c, damp, prefactor, total, comp, est, small_run, term = (
-                a[keep] for a in (live, z, c, damp, prefactors[:, width],
-                                  totals[:, -1], comps[:, -1], ests[:, -1],
-                                  runs[:, -1], terms[:, -1]))
-    for r, i in enumerate(live.tolist()):
-        failures[i] = ConvergenceError(
-            f"resolvent series did not converge within {max_terms} terms "
-            f"at t={times[i]}", reason="max_terms",
-            last_term=float(abs(term[r])), n_terms=max_terms)
+            # Each row carries its state from its last column.
+            last = width - 1
+            k_next += width
+            spent = ~stopped & (k_next >= max_terms)
+            for r in spent.nonzero()[0].tolist():
+                i = int(live[r])
+                failures[i] = ConvergenceError(
+                    f"resolvent series did not converge within {max_terms} "
+                    f"terms at t={times[i]}", reason="max_terms",
+                    last_term=float(abs(terms[r, last[r]])),
+                    n_terms=max_terms)
+            keep = ~stopped & ~spent
+            live, z, c, damp, k_next, prefactor, total, comp, est, small_run = (
+                a[keep] for a in (live, z, c, damp, k_next,
+                                  prefactors[row, width], totals[row, last],
+                                  comps[row, last], ests[row, last],
+                                  runs[row, last]))
+            width = np.minimum(_K_BLOCK, max_terms - k_next)
     return values, failures
 
 

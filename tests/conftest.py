@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from memdiff import KernelParams, ScalarProblem, special
+from memdiff import KernelParams, ScalarProblem, resolvent, special
 
 # Indices k from 2**53 on, where k + n + 1.0 in the Mittag-Leffler
 # coefficient walk is no longer exact.
@@ -46,6 +46,21 @@ def one_pair(mu: float, k: int, z: float, max_terms: int):
     if failures:
         raise failures[0]
     return float(values[0]), float(ests[0]), int(n_terms[0])
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The (ks, zs) of every call the series grid engine makes to the inner
+    engine ``_prabhakar_pairs``, in order, each recorded before it runs."""
+    calls = []
+    pairs = resolvent._prabhakar_pairs
+
+    def recording_pairs(mu, ks, zs, *policy):
+        calls.append((ks, zs))
+        return pairs(mu, ks, zs, *policy)
+
+    monkeypatch.setattr(resolvent, "_prabhakar_pairs", recording_pairs)
+    return calls
 
 
 def error_record(exc):

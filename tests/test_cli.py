@@ -82,6 +82,11 @@ MISSING = object()
     # t^(mu+1) overflows: a typed ConvergenceError, not an OverflowError
     (("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
       "--tmax", "1e300", "--points", "3"), 2, "t=5e+299: "),
+    # c = (rho + beta) t = 5e299: the first-pass width rule's factors
+    # overflow, and the outer terms do from k = 2
+    (("scalar-curve", "-a", "1", "-b", "1e300", "-m", "0.5", "-r", "-1",
+      "--tmax", "1", "--points", "3"), 2,
+     "t=0.5: resolvent series term 2 overflows at t=0.5\n"),
     # horizons whose Volterra step count exceeds its bound
     (("scalar-curve", "-a", "1", "-b", "0", "-m", "0.5", "-r", "-1",
       "--method", "volterra", "--tmax", "1e200"), 64, "dt = 0.0025 needs"),
@@ -176,6 +181,7 @@ MISSING = object()
      "beta + omega is not a finite float for beta=1e+308, omega=1e+308\n"),
 ], ids=["tmax-0", "points-1", "modes-0", "dt-0", "dt-nan", "dt-negative",
         "dt-inf", "norm-curve-dt-0", "verify-dt-0", "series-tmax-1e300",
+        "series-beta-1e300",
         "volterra-tmax-1e200", "verify-tmax-1e9",
         "verify-tol-nan", "verify-tol-negative", "verify-tol-inf",
         "scalar-curve-out-missing", "norm-curve-out-missing",

@@ -195,26 +195,24 @@ class TestSeriesCurve:
             curve = series_curve(prob, grid)
             assert curve.values.tobytes() == values.tobytes()
 
-    def test_one_log_per_time_and_block(self, monkeypatch):
+    def test_one_log_per_time_and_block(self, monkeypatch, pair_calls):
         """Each inner engine call of a 64-point curve takes ln|z| once per
-        distinct |z|: 63 logs for a block of 32 k, not one per (t, k) pair
-        (2,016)."""
-        libm, pairs = special._libm, resolvent._prabhakar_pairs
-        logged, distinct = [], []
+        distinct |z|: 63 logs for the first pass, one per time, not one per
+        (t, k) pair (2,273)."""
+        libm = special._libm
+        logs = []
 
         def counting_libm(fn, x):
             if fn is math.log:
-                logged[-1] += x.size
+                logs.append((len(pair_calls) - 1, x.size))
             return libm(fn, x)
 
-        def recording_pairs(mu, ks, zs, *policy):
-            distinct.append(np.unique(np.abs(zs[zs != 0.0])).size)
-            logged.append(0)
-            return pairs(mu, ks, zs, *policy)
-
         monkeypatch.setattr(special, "_libm", counting_libm)
-        monkeypatch.setattr(resolvent, "_prabhakar_pairs", recording_pairs)
         series_curve(problem(1.0, 0.5, 0.5, -4.0), np.linspace(0.0, 3.0, 64))
+        logged = [sum(n for call, n in logs if call == i)
+                  for i in range(len(pair_calls))]
+        distinct = [np.unique(np.abs(zs[zs != 0.0])).size
+                    for _, zs in pair_calls]
         assert logged == distinct
         assert distinct[0] == 63 and len(distinct) > 1
 
@@ -425,3 +423,40 @@ class TestSeriesGridAgainstSequentialWalk:
         assert sources == set(self.SOURCES)
         # stops on the first and the last column of a block
         assert {0, block - 1} <= ends
+
+    @pytest.mark.parametrize("first, block", [((1, 2), 3),
+                                              ((2, 5, 9, 13), 16)])
+    def test_uneven_passes_are_the_sequential_walk(self, walks, first, block,
+                                                   monkeypatch):
+        """The checks above when neighbouring times take first passes of
+        different widths, most of them short of their stopping index, and
+        then passes of ``block``: a time that walks past k = 13 runs several
+        passes from its own next k, and the rows of one inner call differ in
+        width, so the inner failures at k = 0 of the last two cases sit at
+        pair offsets other than row * width."""
+        monkeypatch.setattr(resolvent, "_first_width",
+                            lambda c: np.resize(first, c.size))
+        self.test_block_pass_is_the_sequential_walk(walks, block, monkeypatch)
+
+    @pytest.mark.parametrize("params, tmax", [
+        ((1.0, 0.5, 0.5, -4.0), 3.0),
+        # curve-sweep seed 91, request 7: |rho + beta| tmax = 5.9
+        ((0.9414269032319961, 0.2651431753073915, 0.3495829235624406,
+          -3.227422351990306), 1.9871695681880786),
+    ])
+    def test_first_pass_stops_near_each_walk(self, params, tmax, pair_calls):
+        """No time's first pass takes more than 4 pairs (the width rule's
+        margin) past its stopping index, unless it needs more than
+        ``_K_BLOCK``; a block of 32 for every time took up to 21 more on
+        these curves."""
+        prob = problem(*params)
+        grid = np.linspace(0.0, tmax, 64)
+        series_curve(prob, grid)
+        ks, zs = pair_calls[0]
+        # The pairs of a time share its z and follow one another.
+        starts = np.flatnonzero(np.concatenate(([True], zs[1:] != zs[:-1])))
+        widths = np.diff(np.append(starts, zs.size))
+        assert (ks[starts] == 0).all() and widths.size == grid.size - 1
+        for t, width in zip(grid[1:], widths.tolist()):
+            _, stop = sequential_walk(prob, float(t), _MAX_TERMS)
+            assert width <= min(stop + 1 + 4, resolvent._K_BLOCK), t
