@@ -20,16 +20,14 @@ from .inversion import (forward_transform, invert_S, invert_S_curve,
                         invert_transform)
 from .resolvent import (Curve, CurveMethod, mu1_closed_form, series_S,
                         series_curve)
-from .special import prabhakar_ml, reg_lower_inc_gamma
-from .spectral import (SpectralModel, eigen_pairs, field, mode_curve,
-                       operator_norm_curve)
+from .special import prabhakar_ml
+from .spectral import SpectralModel, field, mode_curve, operator_norm_curve
 from .stability import (BoundCheck, DecayBound, LemmaCheck, LemmaReport,
                         RateFit, Regime, RegimeClass, classify,
                         fit_decay_rate, lemma_property_suite,
                         theoretical_bound, verify_bound, verify_problem)
-from .symbols import (KernelParams, ScalarProblem, laplace_S_hat, symbol_g,
-                      symbol_h, symbol_h_tilde)
-from .volterra import kernel_a, solve_volterra
+from .symbols import KernelParams, ScalarProblem, laplace_S_hat
+from .volterra import solve_volterra
 
 __version__ = "0.1.0"
 
@@ -41,11 +39,10 @@ __all__ = [
     "RateFit", "Regime", "RegimeClass",
     "ScalarProblem", "SpectralModel",
     "StepSizeError", "TruncationError", "classify",
-    "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
-    "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
+    "field", "fit_decay_rate", "forward_transform",
+    "invert_S", "invert_S_curve", "invert_transform",
     "laplace_S_hat", "lemma_property_suite",
     "mode_curve", "mu1_closed_form", "operator_norm_curve",
-    "prabhakar_ml", "reg_lower_inc_gamma", "series_S", "series_curve",
-    "solve_volterra", "symbol_g", "symbol_h", "symbol_h_tilde",
-    "theoretical_bound", "verify_bound", "verify_problem",
+    "prabhakar_ml", "series_S", "series_curve",
+    "solve_volterra", "theoretical_bound", "verify_bound", "verify_problem",
 ]

@@ -48,9 +48,8 @@ call, lgamma(k+n+1) at step n is lgamma((k+1)+(n-1)+1) of the step before,
 so consecutive steps share it for every k but the largest; a call computes
 its coefficients for every k from its least to its largest.
 
-``reg_lower_inc_gamma`` is array-first: a one-point call runs the array
-engine on one element and costs 0.01-0.6 ms, the most near x = mu + 1, so
-callers pass whole tables.
+``reg_lower_inc_gamma`` is internal: the Volterra kernel table is its one
+caller, and it passes the whole table in one call.
 """
 
 from __future__ import annotations
@@ -62,10 +61,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "reg_lower_inc_gamma",
-    "prabhakar_ml",
-]
+__all__ = ["prabhakar_ml"]
 
 
 def _is_int(v) -> bool:
@@ -89,9 +85,10 @@ def reg_lower_inc_gamma(mu: float, x):
     complement otherwise; both are the classically stable choices and give
     absolute error well below 1e-12.
 
-    ``x`` may be an array (the Volterra kernel table is one such call).  Each
-    element runs the arithmetic of a one-point call and stops at its own
-    convergence test, so an array call equals one-point calls bit for bit.
+    Internal, imported from this module: its one caller is
+    :func:`memdiff.volterra.kernel_a`, on an array of x.  Each element runs
+    the arithmetic of a one-point call and stops at its own convergence
+    test, so an array call equals one-point calls bit for bit.
     The front factor x^mu e^{-x} / Gamma(mu) is e^{-x + mu ln x -
     lgamma(mu)}, computed in one pass over every x > 0 and shared by both
     branches, with libm's bits: ``log`` per element from ``math``, ``exp``

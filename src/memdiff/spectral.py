@@ -29,7 +29,6 @@ from .volterra import solve_volterra
 
 __all__ = [
     "SpectralModel",
-    "eigen_pairs",
     "mode_curve",
     "field",
     "operator_norm_curve",
@@ -64,7 +63,8 @@ class SpectralModel:
 
 
 def eigen_pairs(model: SpectralModel) -> list[tuple[float, Callable]]:
-    """[(lambda_n, phi_n)] with phi_n L2-normalized on (0, length)."""
+    """[(lambda_n, phi_n)] with phi_n L2-normalized on (0, length).
+    Internal, imported from this module: :func:`field` is its one caller."""
     L = model.length
     norm = math.sqrt(2.0 / L)
 

@@ -2,7 +2,8 @@
 
 For kernel parameters (alpha, beta, mu) the smoothed kernel
 a = 1 + 1*kappa has transform ((lam+beta)^mu + alpha) / (lam (lam+beta)^mu),
-and the symbols evaluated here are
+and the symbols evaluated here (internal: their one caller is
+:func:`~memdiff.stability.lemma_property_suite`) are
 
     g(lam)      = (lam+beta)^mu / ((lam+beta)^mu + alpha)
     h(lam)      = lam * g(lam)                       (= 1 / a_hat)
@@ -30,14 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "KernelParams",
-    "ScalarProblem",
-    "symbol_g",
-    "symbol_h",
-    "symbol_h_tilde",
-    "laplace_S_hat",
-]
+__all__ = ["KernelParams", "ScalarProblem", "laplace_S_hat"]
 
 _POLE_TOL = 1e-300
 
@@ -103,20 +97,23 @@ def _g_parts(params: KernelParams, lam, who: str):
 
 
 def symbol_g(params: KernelParams, lam):
-    """g(lam) for Re(lam) > 0."""
+    """g(lam) for Re(lam) > 0.  Internal, imported from this module by its
+    one caller, the lemma suite."""
     _, w, den = _g_parts(params, lam, "symbol_g")
     return _maybe_scalar(w / den, lam)
 
 
 def symbol_h(params: KernelParams, lam):
-    """h(lam) = lam * g(lam) for Re(lam) > 0."""
+    """h(lam) = lam * g(lam) for Re(lam) > 0.  Internal, imported from this
+    module by its one caller, the lemma suite."""
     z, w, den = _g_parts(params, lam, "symbol_h")
     return _maybe_scalar(z * w / den, lam)
 
 
 def symbol_h_tilde(params: KernelParams, lam):
     """h(lam - beta) in shifted form, defined off the branch cut for any
-    lam != 0 with lam^mu + alpha away from zero."""
+    lam != 0 with lam^mu + alpha away from zero.  Internal, imported from
+    this module by its one caller, the lemma suite's ``arg_h_tilde`` check."""
     z = _as_complex(lam)
     if np.any(z == 0):
         raise DomainError("symbol_h_tilde requires lambda != 0")

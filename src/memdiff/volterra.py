@@ -28,7 +28,7 @@ any of its routes runs.
 
 One engine, ``_solve_grid``, marches a batch of rhos on one stepping.  The
 kernel does not depend on rho, so its table a(i dt), i = 0..n, is built
-once per solve in one numpy pass (:func:`kernel_a` on the array of nodes)
+once per solve in one numpy pass (the internal ``kernel_a`` on the nodes)
 and shared by every rho of a batch.  For beta > 0 that pass is one call of
 :func:`~memdiff.special.reg_lower_inc_gamma` on x = beta t: one front
 factor over every x > 0, then the series below x = mu + 1 and the
@@ -87,7 +87,7 @@ from .resolvent import Curve, CurveMethod, _validate_grid
 from .special import reg_lower_inc_gamma
 from .symbols import KernelParams, ScalarProblem
 
-__all__ = ["kernel_a", "solve_volterra"]
+__all__ = ["solve_volterra"]
 
 
 # Most steps one solve may take: the history march costs O(n_steps^2)
@@ -108,8 +108,8 @@ def kernel_a(params: KernelParams, t):
     ``t`` may be an array of nodes, which gives the whole table in one pass
     with every element equal to its one-point value bit for bit.  For that,
     the beta = 0 power is a per-element Python power: numpy's need not round
-    like libm's.  The function is array-first: a one-point call runs the
-    array engine on one element and costs 0.01-0.6 ms.
+    like libm's.  Internal, imported from this module: its one caller is
+    ``_solve_grid``, which builds each solve's table in one call.
 
     A kernel that leaves the float range raises :class:`DomainError`: for
     beta > 0, a factor beta^-mu or alpha*beta^-mu that is not a finite float;

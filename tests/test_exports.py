@@ -130,12 +130,11 @@ _PUBLIC_NAMES = [
     "LemmaCheck", "LemmaReport", "MemdiffError", "ModeError", "RateFit",
     "Regime", "RegimeClass", "ScalarProblem", "SpectralModel",
     "StepSizeError", "TruncationError",
-    "classify", "eigen_pairs", "field", "fit_decay_rate", "forward_transform",
-    "invert_S", "invert_S_curve", "invert_transform", "kernel_a",
+    "classify", "field", "fit_decay_rate", "forward_transform",
+    "invert_S", "invert_S_curve", "invert_transform",
     "laplace_S_hat", "lemma_property_suite",
     "mode_curve", "mu1_closed_form", "operator_norm_curve", "prabhakar_ml",
-    "reg_lower_inc_gamma", "series_S", "series_curve", "solve_volterra",
-    "symbol_g", "symbol_h", "symbol_h_tilde", "theoretical_bound",
+    "series_S", "series_curve", "solve_volterra", "theoretical_bound",
     "verify_bound", "verify_problem",
 ]
 

@@ -5,9 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from memdiff import (ConvergenceError, DomainError, prabhakar_ml,
-                     reg_lower_inc_gamma)
+from memdiff import ConvergenceError, DomainError, prabhakar_ml
 from memdiff import special
+from memdiff.special import reg_lower_inc_gamma
 from conftest import error_record, one_pair
 
 

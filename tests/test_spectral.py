@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from memdiff import (DomainError, KernelParams, ModeError, ScalarProblem,
-                     SpectralModel, TruncationError,
-                     eigen_pairs, field, mode_curve, operator_norm_curve,
-                     series_S, series_curve, solve_volterra)
+                     SpectralModel, TruncationError, field, mode_curve,
+                     operator_norm_curve, series_S, series_curve,
+                     solve_volterra)
+from memdiff.spectral import eigen_pairs
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> float:

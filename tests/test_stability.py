@@ -4,8 +4,8 @@ import pytest
 from memdiff import (AccuracyError, Curve, DomainError, HypothesisError,
                      KernelParams, RegimeClass, classify,
                      fit_decay_rate, lemma_property_suite, solve_volterra,
-                     symbol_g, symbol_h, symbol_h_tilde, theoretical_bound,
-                     verify_bound)
+                     theoretical_bound, verify_bound)
+from memdiff.symbols import symbol_g, symbol_h, symbol_h_tilde
 from conftest import problem
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from memdiff import (DomainError, KernelParams, ScalarProblem,
-                     laplace_S_hat, symbol_g, symbol_h, symbol_h_tilde)
-from memdiff.symbols import laplace_S_hat_den
+from memdiff import DomainError, KernelParams, ScalarProblem, laplace_S_hat
+from memdiff.symbols import (laplace_S_hat_den, symbol_g, symbol_h,
+                             symbol_h_tilde)
 from conftest import problem
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from memdiff import (AccuracyError, DomainError, KernelParams, ScalarProblem,
-                     SpectralModel, StepSizeError, kernel_a,
-                     operator_norm_curve, reg_lower_inc_gamma, solve_volterra,
-                     volterra)
+                     SpectralModel, StepSizeError, operator_norm_curve,
+                     solve_volterra, volterra)
+from memdiff.special import reg_lower_inc_gamma
+from memdiff.volterra import kernel_a
 from conftest import problem
 
 
