@@ -39,9 +39,10 @@ exactly as a one-time call does, so a curve is one quadrature (``_contour``
 also takes one radius per row).  ``invert_S_curve`` applies it to S_hat on
 the whole grid behind a per-row guard that raises :class:`AccuracyError`
 when a node lies on a pole of the denominator; ``invert_S`` is its batch of
-one.  Of the rows that fail the guard or the residue check, the first in
-time order raises, and S_hat is evaluated only on the rows before the first
-guarded one.
+one.  One ``_S_hat_parts`` call on every node, which never raises, feeds
+the guard and the values; then the first row in time order that fails the
+guard or the residue check raises.  ``laplace_S_hat``'s 1e-300 pole check
+does not run here: the 1e-10 node guard catches every row it would.
 
 The forward transform is plain trapezoidal quadrature of e^{-lam t} times a
 sampled curve plus an analytic exponential-tail correction.
@@ -57,7 +58,10 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .resolvent import Curve, CurveMethod, _validate_grid
 from .special import _is_int
-from .symbols import ScalarProblem, laplace_S_hat, laplace_S_hat_den
+# Nothing here calls laplace_S_hat or laplace_S_hat_den; the benchmark's
+# tracer hooks them in this module, so they stay bound.
+from .symbols import (ScalarProblem, _S_hat_parts, laplace_S_hat,  # noqa: F401
+                      laplace_S_hat_den)
 
 __all__ = [
     "invert_transform",
@@ -131,26 +135,26 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray) -> np.ndarray:
 
     A time fails, with :class:`AccuracyError`, when a node lies within
     _NODE_POLE_TOL of a pole of the denominator, or when its value is not
-    finite or its imaginary residue is not below IM_RESIDUE_TOL.  S_hat is
-    evaluated only on the rows before the first guarded one, so no later
-    time can raise first.
+    finite or its imaginary residue is not below IM_RESIDUE_TOL.  One
+    ``_S_hat_parts`` call gives the denominator and the values on every
+    row; it never raises, so the rows are checked in time order after the
+    sum.  ``laplace_S_hat``'s 1e-300 pole check does not run here: any row
+    it would catch fails the node guard first.
     """
-    guarded = len(times)
+    near = []
 
     def s_hat(lam: np.ndarray) -> np.ndarray:
-        nonlocal guarded
-        near = np.abs(laplace_S_hat_den(prob, lam)) < _NODE_POLE_TOL
-        rows = np.flatnonzero(near.any(axis=-1))
-        if rows.size:
-            guarded = int(rows[0])
-        vals = np.full(lam.shape, np.nan, dtype=np.complex128)
-        if guarded:
-            vals[:guarded] = laplace_S_hat(prob, lam[:guarded])
-        return vals
+        w, den = _S_hat_parts(prob, lam)
+        near.append((np.abs(den) < _NODE_POLE_TOL).any(axis=-1))
+        return w / den
 
     values, residues = invert_transform(s_hat, times,
                                          contour_scale=_default_scale(prob))
-    for i in range(guarded):
+    for i, guarded in enumerate(near[0]):
+        if guarded:
+            raise AccuracyError(
+                f"contour node within {_NODE_POLE_TOL} of a pole at "
+                f"t={times[i]}")
         if not math.isfinite(values[i]):
             raise AccuracyError(
                 f"contour sum is not finite at t={times[i]}; the inversion "
@@ -159,10 +163,6 @@ def _invert_S_grid(prob: ScalarProblem, times: np.ndarray) -> np.ndarray:
             raise AccuracyError(
                 f"imaginary residue {residues[i]:.2e} at t={times[i]} exceeds "
                 f"{IM_RESIDUE_TOL}; the inversion is not trustworthy")
-    if guarded < len(times):
-        raise AccuracyError(
-            f"contour node within {_NODE_POLE_TOL} of a pole at "
-            f"t={times[guarded]}")
     return values
 
 

@@ -14,6 +14,11 @@ fail today are pinned as they fail: curve-sweep 9 exits 2, verify-golden 7
 exits 2 and verify-golden 6, 12 and 16 exit 1.
 ``bench/workloads.py`` is loaded by path and nothing under ``bench/`` is
 changed.
+
+The round draws only 6 laplace requests, so the 12 seeded series requests of
+the same round are also run with ``--method laplace``; their hashes were
+recorded before the contour route shared one evaluation of S_hat between
+its node guard and its values.
 """
 
 import contextlib
@@ -22,6 +27,7 @@ import importlib.util
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from memdiff import cli
@@ -88,6 +94,23 @@ EXPECTED = {
     ("verify-golden", 23): "7759f1070dfd854705595adea9ccd8f21c39e8493df78f742cd7c6c7e870a507",
 }
 
+# index of a seeded series request in the seed-21 curve-sweep round -> sha256
+# of that request run with --method laplace
+EXPECTED_LAPLACE = {
+    0: "070da8d2b98987c1eabda53fa5ee4644e817de777bd430f75578d29d33b87c21",
+    1: "6de29dd1dcdd6bc9f8fe6f5eb61989ce153a06b83567c93bff301cb76006969e",
+    3: "49f1f32477f3b51cc9d7acc0f9f0b0bdb2f08dd0876469c4ff0f37089f02485d",
+    4: "93a91615ed92c50c8ff547a2a0098c85e5297736db59110809b7c32131992031",
+    6: "467d9dba6e934513836f29b71272df3d8ece083b20b2debfcbfdee58f806d4f4",
+    7: "9414bf45abdd1a500603e1e796e709aa48f65617f878387e6190bcdff9c6306f",
+    10: "f1f60d612f25961a1011baab4548f5dd21239d64f2273261ac5d8f14c4583321",
+    11: "18eba8693b19e7c62fe5bed1db6fd4abc3e12a1163d02c73ef67a44f0fdcf224",
+    13: "5b3524ea64428181c1669363ff55be7a1da1da18ba5a4e576a7fddb8e0688464",
+    14: "ecf017b558d0d3817017215075bd151cb1606c89d3a4c1ac8b0e016929f56d14",
+    16: "cae8fc1883fb30ef5f29a0afb7b3c766a052971eb199c5c319ff4ed15927e5d6",
+    17: "f0f977e6512eeb73cea5962435fb1584f5446b54b979a6bb8024202d29a9da4e",
+}
+
 
 def _load_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("memdiff_bench_workloads",
@@ -120,4 +143,15 @@ def test_benchmark_operations_keep_their_bytes(monkeypatch):
     assert [key for key, _ in ops] == list(EXPECTED)
     changed = [" ".join(argv) for key, argv in ops
                if digest(argv) != EXPECTED[key]]
+    assert not changed, changed
+
+
+def test_series_requests_keep_their_bytes_by_laplace(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    ops = {i: replace(op, method="laplace").argv()
+           for i, op in enumerate(workloads.build("curve-sweep", 21))
+           if op.method == "series" and op.fault is None}
+    assert list(ops) == list(EXPECTED_LAPLACE)
+    changed = [" ".join(argv) for i, argv in ops.items()
+               if digest(argv) != EXPECTED_LAPLACE[i]]
     assert not changed, changed

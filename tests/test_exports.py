@@ -63,6 +63,7 @@ _TRACER_ONLY = {
     "memdiff.cli": {"series_S", "fit_decay_rate", "verify_bound",
                     "lemma_property_suite"},
     "memdiff.resolvent": {"_prabhakar_scaled"},
+    "memdiff.inversion": {"laplace_S_hat", "laplace_S_hat_den"},
 }
 
 

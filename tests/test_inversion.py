@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import memdiff.inversion as inversion_mod
+import memdiff.symbols as symbols_mod
 from memdiff import (AccuracyError, Curve, DomainError,
                      MemdiffError, forward_transform,
                      invert_S, invert_S_curve, invert_transform,
@@ -134,12 +135,14 @@ class TestInvertS:
             invert_S(double_root_problem, 0.0)
 
     def test_contour_error_near_pole(self, double_root_problem, monkeypatch):
-        def fake_den(prob, lam):
-            den = np.asarray(lam, dtype=complex) * 0.0 + 1.0
-            den.flat[3] = 1e-12
-            return den
+        real_parts = inversion_mod._S_hat_parts
 
-        monkeypatch.setattr(inversion_mod, "laplace_S_hat_den", fake_den)
+        def fake_parts(prob, lam):
+            w, den = real_parts(prob, lam)
+            den.flat[3] = 1e-12
+            return w, den
+
+        monkeypatch.setattr(inversion_mod, "_S_hat_parts", fake_parts)
         with pytest.raises(AccuracyError, match="of a pole at t=1.0$"):
             invert_S(double_root_problem, 1.0)
 
@@ -197,41 +200,46 @@ class TestInvertSCurve:
         rows = [invert_S(prob, t) for t in grid[1:].tolist()]
         assert curve.values[1:].tolist() == rows
 
+    def test_one_evaluation_of_the_transform_per_call(self, monkeypatch):
+        # the node guard and the values share one evaluation of S_hat's
+        # parts on the whole (T, 64) node array
+        real_parts = symbols_mod._S_hat_parts
+        shapes = []
+
+        def counted(prob, lam):
+            shapes.append(np.shape(lam))
+            return real_parts(prob, lam)
+
+        for module in (symbols_mod, inversion_mod):
+            monkeypatch.setattr(module, "_S_hat_parts", counted)
+        invert_S_curve(problem(1.0, 0.5, 0.5, -1.0), np.linspace(0.0, 5.0, 6))
+        assert shapes == [(5, 64)]
+
     @staticmethod
     def _guard_rows_after(monkeypatch, t_first):
-        """Put a pole on node 3 of every row whose time is >= t_first, and
-        record the row counts S_hat is evaluated on."""
-        real_den = inversion_mod.laplace_S_hat_den
-        real_s_hat = inversion_mod.laplace_S_hat
-        rows = []
+        """Put a pole on node 3 of every row whose time is >= t_first."""
+        real_parts = inversion_mod._S_hat_parts
 
-        def fake_den(prob, lam):
-            den = np.array(real_den(prob, lam))
+        def fake_parts(prob, lam):
+            w, den = real_parts(prob, lam)
             # the smallest node modulus of a row is about radius / t
             radius = inversion_mod._default_scale(prob)
             late = np.abs(lam).min(axis=-1) < 1.01 * radius / t_first
             den[..., 3] = np.where(late, 1e-12, den[..., 3])
-            return den
+            return w, den
 
-        def s_hat(prob, lam):
-            rows.append(lam.shape[0] if lam.ndim == 2 else 1)
-            return real_s_hat(prob, lam)
-
-        monkeypatch.setattr(inversion_mod, "laplace_S_hat_den", fake_den)
-        monkeypatch.setattr(inversion_mod, "laplace_S_hat", s_hat)
-        return rows
+        monkeypatch.setattr(inversion_mod, "_S_hat_parts", fake_parts)
 
     def test_earlier_residue_failure_wins_over_a_later_guard(self,
                                                               monkeypatch):
         # rho = -16 fails the residue check at every t; t >= 1 is guarded
         prob = problem(1.0, 0.5, 0.5, -16.0)
-        rows = self._guard_rows_after(monkeypatch, 1.0)
+        self._guard_rows_after(monkeypatch, 1.0)
         with pytest.raises(AccuracyError) as info:
             invert_S_curve(prob, [0.0, 0.5, 1.0, 2.0])
         assert str(info.value) == (
             "imaginary residue 4.88e-04 at t=0.5 exceeds 1e-08; the "
             "inversion is not trustworthy")
-        assert rows == [1]  # S_hat never saw the guarded rows
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_sum_raises_without_warnings(self):
@@ -243,10 +251,9 @@ class TestInvertSCurve:
     def test_earlier_guard_wins_over_a_later_residue_failure(self,
                                                               monkeypatch):
         prob = problem(1.0, 0.5, 0.5, -16.0)
-        rows = self._guard_rows_after(monkeypatch, 0.5)
+        self._guard_rows_after(monkeypatch, 0.5)
         with pytest.raises(AccuracyError, match="of a pole at t=0.5$"):
             invert_S_curve(prob, [0.0, 0.5, 1.0, 2.0])
-        assert rows == []
 
     @settings(max_examples=30, deadline=None)
     @given(curve_sweep_cases())
